@@ -3,7 +3,7 @@
 //!
 //! Std-only harness (`cargo bench --bench convolution`).
 
-use mosaic_numerics::{Convolver, Grid, KernelSpectrum};
+use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace};
 use mosaic_optics::{KernelSet, OpticsConfig, ProcessCondition};
 use std::hint::black_box;
 use std::time::Instant;
@@ -36,6 +36,9 @@ fn setup() -> (Convolver, KernelSet, Grid<f64>) {
 
 fn main() {
     let (conv, bank, mask) = setup();
+    let mut ws = Workspace::new();
+    let mut team = SpectralTeam::inline();
+    let mut field = SplitSpectrum::zeros(N, N);
 
     // The full SOCS aerial image: 24 convolutions reusing one mask
     // spectrum.
@@ -47,17 +50,23 @@ fn main() {
     // Eq. (21): one convolution against the pre-combined kernel vs the
     // per-kernel sum of 24 convolutions of the same linear field.
     let combined = bank.combined();
+    let spectrum = conv.forward_real(&mask);
     report("eq21/combined_1_convolution", 20, || {
-        let spectrum = conv.forward_real(&mask);
-        conv.convolve_spectrum(&spectrum, &combined)
+        conv.convolve_spectrum_split_into(&spectrum, &combined, &mut field, &mut ws, &mut team);
+        field.at(0)
     });
     report("eq21/per_kernel_24_convolutions", 10, || {
-        let spectrum = conv.forward_real(&mask);
         let mut acc = Grid::<f64>::zeros(N, N);
         for k in bank.kernels() {
-            let field = conv.convolve_spectrum(&spectrum, &k.spectrum);
-            for (a, f) in acc.iter_mut().zip(field.iter()) {
-                *a += k.weight * f.re;
+            conv.convolve_spectrum_split_into(
+                &spectrum,
+                &k.spectrum,
+                &mut field,
+                &mut ws,
+                &mut team,
+            );
+            for (a, f) in acc.iter_mut().zip(field.re()) {
+                *a += k.weight * f;
             }
         }
         acc
@@ -67,10 +76,14 @@ fn main() {
     // reusing it.
     let spec: KernelSpectrum = bank.combined();
     report("spectrum_reuse/reused", 20, || {
-        conv.convolve_real(&mask, &spec)
+        let spectrum = conv.forward_real(&mask);
+        conv.convolve_spectrum_split_into(&spectrum, &spec, &mut field, &mut ws, &mut team);
+        field.at(0)
     });
     report("spectrum_reuse/rebuild_each_time", 10, || {
         let fresh = bank.combined();
-        conv.convolve_real(&mask, &fresh)
+        let spectrum = conv.forward_real(&mask);
+        conv.convolve_spectrum_split_into(&spectrum, &fresh, &mut field, &mut ws, &mut team);
+        field.at(0)
     });
 }

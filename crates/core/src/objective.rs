@@ -35,12 +35,12 @@
 use crate::error::OptimizerError;
 use crate::mask::MaskState;
 use crate::optimizer::OptimizationConfig;
-use crate::parallel::{CornerTask, ParallelExec};
+use crate::parallel::{
+    combined_condition, pvb_accumulate, scale_split_by_real, CornerTask, ParallelExec,
+};
 use crate::problem::OpcProblem;
 use mosaic_geometry::Orientation;
-use mosaic_numerics::{
-    Convolver, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace,
-};
+use mosaic_numerics::{FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace};
 use mosaic_optics::KernelSet;
 use std::sync::Arc;
 
@@ -165,31 +165,24 @@ impl<'a> Objective<'a> {
     /// test); [`GradientMode::PerKernel`] additionally keeps one `Vec` of
     /// per-kernel field handles per call.
     ///
-    /// There is exactly one numeric path: `evaluate` delegates here, so
-    /// pooled and allocating evaluations are bit-identical.
+    /// There is exactly one numeric path: `evaluate` delegates here, and
+    /// this is [`evaluate_parallel`](Self::evaluate_parallel) on the
+    /// inline team, so every entry point is bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if the state's shape differs from the problem grid.
     pub fn evaluate_into(&self, state: &MaskState, ws: &mut Workspace, eval: &mut Evaluation) {
-        let (gw, gh) = state.dims();
-        let mut mask = ws.take_real_grid(gw, gh);
-        let mut dmask_dp = ws.take_real_grid(gw, gh);
-        state.mask_into(&mut mask);
-        state.mask_derivative_into(&mut dmask_dp);
-        self.evaluate_parameterized_core(&mask, &dmask_dp, ws, eval, None);
-        ws.give_real_grid(dmask_dp);
-        ws.give_real_grid(mask);
+        self.evaluate_parallel(state, ws, eval, &mut ParallelExec::team(0));
     }
 
-    /// Parallel twin of [`evaluate_into`](Self::evaluate_into): fans
-    /// independent work out over the worker state built by
+    /// Evaluates `F` and `∂F/∂P` on the execution state built by
     /// [`parallel_exec`](Self::parallel_exec) (DESIGN.md §14).
     ///
-    /// **Bit-identical** to the serial path at every thread count: every
-    /// transform a worker runs is the unchanged serial code against
-    /// task-private state, and every cross-thread reduction is replayed
-    /// by the calling thread in the serial path's exact order.
+    /// **Bit-identical** at every thread count: each transform a worker
+    /// runs is the same code against task-private state, and every
+    /// cross-thread reduction is replayed by the calling thread in a
+    /// fixed order.
     ///
     /// # Panics
     ///
@@ -209,31 +202,30 @@ impl<'a> Objective<'a> {
         let mut dmask_dp = ws.take_real_grid(gw, gh);
         state.mask_into(&mut mask);
         state.mask_derivative_into(&mut dmask_dp);
-        self.evaluate_parameterized_core(&mask, &dmask_dp, ws, eval, Some(par));
+        self.evaluate_parameterized_core(&mask, &dmask_dp, ws, eval, par);
         ws.give_real_grid(dmask_dp);
         ws.give_real_grid(mask);
     }
 
-    /// Builds the reusable worker state for
-    /// [`evaluate_parallel`](Self::evaluate_parallel), or `None` when
-    /// `threads < 2` (the serial path needs no state).
+    /// Builds the reusable execution state for
+    /// [`evaluate_parallel`](Self::evaluate_parallel).
     ///
     /// `threads − 1` workers are spawned; the calling thread is the
-    /// remaining member of the team. The decomposition is chosen once,
-    /// from the problem shape: process-corner fan-out when the objective
-    /// has corners to farm out (`F_pvb` active, combined gradient mode),
-    /// banded-FFT/kernel fan-out otherwise.
-    pub fn parallel_exec(&self, threads: usize) -> Option<ParallelExec> {
-        if threads < 2 {
-            return None;
-        }
-        let workers = threads - 1;
+    /// remaining member of the team, so `threads <= 1` is the inline
+    /// team with no worker threads at all. The decomposition is chosen
+    /// once, from the problem shape: process-corner fan-out when the
+    /// objective has corners to farm out (`F_pvb` active, combined
+    /// gradient mode) and workers to farm them to, banded-FFT/kernel
+    /// fan-out otherwise.
+    pub fn parallel_exec(&self, threads: usize) -> ParallelExec {
+        let workers = threads.saturating_sub(1);
         let sim = self.problem.simulator();
-        let corner_mode = sim.condition_count() > 1
+        let corner_mode = workers > 0
+            && sim.condition_count() > 1
             && self.config.beta > 0.0
             && self.config.gradient_mode == GradientMode::Combined;
         if !corner_mode {
-            return Some(ParallelExec::team(workers));
+            return ParallelExec::team(workers);
         }
         let (gw, gh) = self.problem.grid_dims();
         let pixel_area = self.problem.pixel_nm() * self.problem.pixel_nm();
@@ -253,7 +245,7 @@ impl<'a> Objective<'a> {
                 pvb_value: 0.0,
             })
             .collect();
-        Some(ParallelExec::corners(workers, tasks))
+        ParallelExec::corners(workers, tasks)
     }
 
     /// Evaluates `F` and its gradient for an arbitrary mask
@@ -287,53 +279,38 @@ impl<'a> Objective<'a> {
         ws: &mut Workspace,
         eval: &mut Evaluation,
     ) {
-        self.evaluate_parameterized_core(mask, dmask_dp, ws, eval, None);
+        self.evaluate_parameterized_core(mask, dmask_dp, ws, eval, &mut ParallelExec::team(0));
     }
 
     /// The single numeric path behind every evaluation entry point.
     ///
-    /// With `par = None` this is exactly the serial evaluation. With a
-    /// [`ParallelExec`], independent work is fanned out — banded FFT
-    /// passes and per-kernel transforms through the spectral team, or
-    /// whole `F_pvb` corners through the corner pool — while every
-    /// reduction stays on this thread in serial order, keeping results
-    /// bit-identical (DESIGN.md §14).
+    /// Transforms on the calling thread run on `par`'s spectral team (the
+    /// inline team for one thread); in corner mode whole `F_pvb` corners
+    /// go to the corner pool. Every reduction stays on this thread in a
+    /// fixed order, keeping results bit-identical (DESIGN.md §14).
     fn evaluate_parameterized_core(
         &self,
         mask: &Grid<f64>,
         dmask_dp: &Grid<f64>,
         ws: &mut Workspace,
         eval: &mut Evaluation,
-        mut par: Option<&mut ParallelExec>,
+        par: &mut ParallelExec,
     ) {
         let sim = self.problem.simulator();
         let conv = sim.convolver();
         let cfg = self.config;
-        let target = self.problem.target();
         let pixel_area = self.problem.pixel_nm() * self.problem.pixel_nm();
 
         assert_eq!(mask.dims(), self.problem.grid_dims(), "mask shape mismatch");
         assert_eq!(dmask_dp.dims(), mask.dims(), "derivative shape mismatch");
         let (gw, gh) = self.problem.grid_dims();
-        // The spectral pipeline runs in split-plane (SoA) layout from the
-        // mask spectrum onward (DESIGN.md §16); bits match the former
-        // interleaved path exactly.
         let mut mask_spectrum = ws.take_split(gw, gh);
-        match par.as_deref_mut().and_then(ParallelExec::team_mut) {
-            Some(team) => sim.mask_spectrum_split_par(mask, &mut mask_spectrum, ws, team),
-            None => sim.mask_spectrum_split(mask, &mut mask_spectrum, ws),
-        }
-        let corner_mode = par.as_deref().is_some_and(ParallelExec::corner_mode);
-        if let Some(p) = par.as_deref_mut() {
-            // Corner workers start on this iteration's spectrum while the
-            // calling thread evaluates the nominal condition below.
-            p.corners_start(&mask_spectrum);
-        }
+        sim.mask_spectrum_split(mask, &mut mask_spectrum, ws, par.team_mut());
+        // Corner workers start on this iteration's spectrum while the
+        // calling thread evaluates the nominal condition below.
+        par.corners_start(&mask_spectrum);
         let mut grad_mask = ws.take_real_grid_zeroed(gw, gh);
-        let mut intensity = ws.take_real_grid(gw, gh);
-        let mut z = ws.take_real_grid(gw, gh);
-        let mut dz = ws.take_real_grid(gw, gh);
-        let mut g = ws.take_real_grid(gw, gh);
+        let mut r_plane = ws.take_real_grid(gw, gh);
         // Per-kernel field handles (PerKernel mode only); the plane
         // buffers come from the workspace and are returned after the
         // condition loop.
@@ -343,12 +320,12 @@ impl<'a> Objective<'a> {
         // In corner mode the workers own conditions 1.., so this thread
         // only walks the nominal condition; the corner merge below
         // replays the skipped accumulates in condition order.
-        let serial_conditions = if corner_mode {
+        let conditions = if par.corner_mode() {
             1
         } else {
             sim.condition_count()
         };
-        for c in 0..serial_conditions {
+        for c in 0..conditions {
             // Which terms does this condition carry? Skip the forward
             // simulation entirely when none apply (e.g. corners when
             // β = 0 — the process-window-blind configuration).
@@ -358,101 +335,63 @@ impl<'a> Objective<'a> {
                 continue;
             }
             let bank = sim.bank(c);
-            let per_kernel = cfg.gradient_mode == GradientMode::PerKernel;
-            if per_kernel {
-                bank.aerial_image_with_fields_split(
-                    conv,
-                    &mask_spectrum,
-                    &mut intensity,
-                    &mut fields,
-                    ws,
-                );
-            } else {
-                match par.as_deref_mut().and_then(ParallelExec::team_mut) {
-                    Some(team) => bank.aerial_image_accumulate_split_par(
-                        conv,
-                        &mask_spectrum,
-                        &mut intensity,
-                        ws,
-                        team,
-                    ),
-                    None => {
-                        bank.aerial_image_accumulate_split(conv, &mask_spectrum, &mut intensity, ws)
-                    }
+            let scale = 2.0 * bank.condition().dose;
+            // Accumulates ∂F/∂I of every term active at this condition.
+            let terms = |z: &Grid<f64>, dz: &Grid<f64>, g: &mut Grid<f64>, ws: &mut Workspace| {
+                if target_active {
+                    let target = self.problem.target();
+                    let value = match cfg.target_term {
+                        TargetTerm::ImageDifference => {
+                            self.image_difference_accumulate(z, target, dz, pixel_area, g)
+                        }
+                        TargetTerm::EdgePlacement => {
+                            self.epe_violations_accumulate(z, target, dz, g, ws)
+                        }
+                    };
+                    report.target = cfg.alpha * value;
                 }
-            }
-            // Z and dZ/dI in one fused pass (one exponential per pixel).
-            sim.resist()
-                .develop_with_derivative_into(&intensity, &mut z, &mut dz);
-
-            // Accumulate ∂F/∂I for every term active at this condition.
-            g.fill(0.0);
-
-            if target_active {
-                let value = match cfg.target_term {
-                    TargetTerm::ImageDifference => {
-                        self.image_difference_accumulate(&z, target, &dz, pixel_area, &mut g)
-                    }
-                    TargetTerm::EdgePlacement => {
-                        self.epe_violations_accumulate(&z, target, &dz, &mut g, ws)
-                    }
-                };
-                report.target = cfg.alpha * value;
-            }
-            if pvb_active {
-                // F_pvb contribution of this corner: Σ (Z_c − Z_t)².
-                let mut value = 0.0;
-                for ((gv, (zv, tv)), dv) in
-                    g.iter_mut().zip(z.iter().zip(target.iter())).zip(dz.iter())
-                {
-                    let diff = zv - tv;
-                    value += diff * diff;
-                    *gv += cfg.beta * pixel_area * 2.0 * diff * dv;
+                if pvb_active {
+                    let value =
+                        pvb_accumulate(z, self.problem.target(), dz, cfg.beta, pixel_area, g);
+                    report.pvb += cfg.beta * value * pixel_area;
                 }
-                report.pvb += cfg.beta * value * pixel_area;
-            }
-
-            let dose = bank.condition().dose;
+            };
             match cfg.gradient_mode {
                 GradientMode::Combined => {
-                    self.backpropagate_combined(
-                        conv,
-                        &mask_spectrum,
-                        &self.combined[c],
-                        &g,
-                        2.0 * dose,
-                        &mut grad_mask,
-                        ws,
-                        par.as_deref_mut().and_then(ParallelExec::team_mut),
-                    );
-                }
-                GradientMode::PerKernel => {
-                    self.backpropagate_per_kernel(
-                        conv,
+                    combined_condition(
                         bank,
-                        &fields,
-                        &g,
-                        2.0 * dose,
-                        &mut grad_mask,
+                        conv,
+                        &self.combined[c],
+                        sim.resist(),
+                        &mask_spectrum,
+                        &mut r_plane,
                         ws,
+                        par.team_mut(),
+                        terms,
                     );
+                    grad_mask.accumulate_scaled(&r_plane, scale);
                 }
+                GradientMode::PerKernel => self.per_kernel_condition(
+                    bank,
+                    &mask_spectrum,
+                    scale,
+                    &mut grad_mask,
+                    &mut fields,
+                    ws,
+                    par.team_mut(),
+                    terms,
+                ),
             }
         }
-        if let Some(p) = par {
-            // Drain the corner workers, then replay the two cross-corner
-            // accumulates exactly as the serial loop interleaves them —
-            // pvb sum then gradient accumulate, condition by condition —
-            // on this thread. The tasks hand back *raw* planes, so every
-            // floating-point add below is the serial path's own.
-            p.corners_finish(ws);
-            for task in p.corner_tasks() {
-                report.pvb += cfg.beta * task.pvb_value * pixel_area;
-                let scale = 2.0 * task.dose;
-                for (a, &r) in grad_mask.iter_mut().zip(task.r_plane.iter()) {
-                    *a += scale * r;
-                }
-            }
+        // Drain the corner workers, then replay the two cross-corner
+        // accumulates exactly as a one-thread run interleaves them — pvb
+        // sum then gradient accumulate, condition by condition — on this
+        // thread. The tasks hand back *raw* planes, so every
+        // floating-point add below is the one-thread run's own.
+        par.corners_finish(ws);
+        for task in par.corner_tasks() {
+            report.pvb += cfg.beta * task.pvb_value * pixel_area;
+            grad_mask.accumulate_scaled(&task.r_plane, 2.0 * task.dose);
         }
         report.total = report.target + report.pvb;
 
@@ -473,10 +412,7 @@ impl<'a> Objective<'a> {
         for f in fields.drain(..) {
             ws.give_split(f);
         }
-        ws.give_real_grid(g);
-        ws.give_real_grid(dz);
-        ws.give_real_grid(z);
-        ws.give_real_grid(intensity);
+        ws.give_real_grid(r_plane);
         ws.give_real_grid(grad_mask);
         ws.give_split(mask_spectrum);
     }
@@ -560,95 +496,52 @@ impl<'a> Objective<'a> {
         value
     }
 
-    /// `∂F/∂M += scale · Re[(G ⊙ (M ⊗ H)) ★ H]` with the combined kernel.
-    ///
-    /// The trailing correlation goes through the Hermitian half-spectrum
-    /// inverse (only the real part is consumed), which is ULP-compatible
-    /// with — not bit-identical to — a full complex correlation.
-    ///
-    /// With a spectral `team`, the three transforms run their banded
-    /// concurrent twins — bit-identical to the serial calls.
+    /// One condition with the exact per-kernel adjoint: aerial image
+    /// with every coherent field `E_k`, resist, `∂F/∂I` (via `terms`),
+    /// then `∂F/∂M += scale · Σ_k w_k Re[(G ⊙ E_k) ★ h_k]`.
     #[allow(clippy::too_many_arguments)]
-    fn backpropagate_combined(
+    fn per_kernel_condition(
         &self,
-        conv: &Convolver,
-        mask_spectrum: &SplitSpectrum,
-        combined: &KernelSpectrum,
-        g: &Grid<f64>,
-        scale: f64,
-        grad_mask: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
-    ) {
-        let (gw, gh) = grad_mask.dims();
-        let mut field = ws.take_split(gw, gh);
-        match team {
-            Some(team) => {
-                conv.convolve_spectrum_split_par(mask_spectrum, combined, &mut field, ws, team);
-                scale_split_by_real(&mut field, g);
-                conv.plan()
-                    .process_split_par(&mut field, FftDirection::Forward, ws, team);
-                conv.correlate_spectrum_re_accumulate_split_par(
-                    &field, combined, scale, grad_mask, ws, team,
-                );
-            }
-            None => {
-                conv.convolve_spectrum_split_into(mask_spectrum, combined, &mut field, ws);
-                scale_split_by_real(&mut field, g);
-                conv.plan()
-                    .process_split(&mut field, FftDirection::Forward, ws);
-                conv.correlate_spectrum_re_accumulate_split(&field, combined, scale, grad_mask, ws);
-            }
-        }
-        ws.give_split(field);
-    }
-
-    /// `∂F/∂M += scale · Σ_k w_k Re[(G ⊙ E_k) ★ h_k]` with the exact
-    /// per-kernel adjoint.
-    #[allow(clippy::too_many_arguments)]
-    fn backpropagate_per_kernel(
-        &self,
-        conv: &Convolver,
         bank: &KernelSet,
-        fields: &[SplitSpectrum],
-        g: &Grid<f64>,
+        mask_spectrum: &SplitSpectrum,
         scale: f64,
         grad_mask: &mut Grid<f64>,
+        fields: &mut Vec<SplitSpectrum>,
         ws: &mut Workspace,
+        team: &mut SpectralTeam,
+        terms: impl FnOnce(&Grid<f64>, &Grid<f64>, &mut Grid<f64>, &mut Workspace),
     ) {
+        let sim = self.problem.simulator();
+        let conv = sim.convolver();
         let (gw, gh) = grad_mask.dims();
+        let mut intensity = ws.take_real_grid(gw, gh);
+        let mut z = ws.take_real_grid(gw, gh);
+        let mut dz = ws.take_real_grid(gw, gh);
+        let mut g = ws.take_real_grid_zeroed(gw, gh);
+        bank.aerial_image_with_fields_split(conv, mask_spectrum, &mut intensity, fields, ws, team);
+        sim.resist()
+            .develop_with_derivative_into(&intensity, &mut z, &mut dz);
+        terms(&z, &dz, &mut g, ws);
         let mut weighted = ws.take_split(gw, gh);
-        for (kernel, field) in bank.kernels().iter().zip(fields) {
-            let (wr, wi) = weighted.planes_mut();
-            let (er, ei) = field.planes();
-            for ((o, &e), &gv) in wr.iter_mut().zip(er.iter()).zip(g.iter()) {
-                *o = e * gv;
-            }
-            for ((o, &e), &gv) in wi.iter_mut().zip(ei.iter()).zip(g.iter()) {
-                *o = e * gv;
-            }
+        for (kernel, field) in bank.kernels().iter().zip(fields.iter()) {
+            weighted.copy_from(field);
+            scale_split_by_real(&mut weighted, &g);
             conv.plan()
-                .process_split(&mut weighted, FftDirection::Forward, ws);
+                .process_split(&mut weighted, FftDirection::Forward, ws, team);
             conv.correlate_spectrum_re_accumulate_split(
                 &weighted,
                 &kernel.spectrum,
                 scale * kernel.weight,
                 grad_mask,
                 ws,
+                team,
             );
         }
         ws.give_split(weighted);
-    }
-}
-
-/// Scales both planes of `field` pixel-wise by the real grid `g` —
-/// the split-plane twin of `e.scale(gv)` on an interleaved field
-/// (bit-identical: each component multiplies by the same scalar).
-fn scale_split_by_real(field: &mut SplitSpectrum, g: &Grid<f64>) {
-    let (fr, fi) = field.planes_mut();
-    for ((r, i), &gv) in fr.iter_mut().zip(fi.iter_mut()).zip(g.iter()) {
-        *r *= gv;
-        *i *= gv;
+        ws.give_real_grid(g);
+        ws.give_real_grid(dz);
+        ws.give_real_grid(z);
+        ws.give_real_grid(intensity);
     }
 }
 

@@ -54,8 +54,8 @@ use mosaic_numerics::{stats, Grid, Workspace};
 ///
 /// Hooks must be cheap and must not panic:
 /// [`on_objective_eval`](Instrument::on_objective_eval) fires after *every*
-/// objective evaluation, including each line-search trial — it subsumes
-/// the deprecated `Heartbeat` liveness signal.
+/// objective evaluation, including each line-search trial, so it doubles
+/// as a liveness signal for watchdogs.
 pub trait Instrument {
     /// Fires at the top of every iteration, before the objective
     /// evaluation. `iteration` is the absolute 0-based index (resumed
@@ -221,10 +221,9 @@ impl<'a> ExecutionSession<'a> {
     /// Draws every per-iteration intermediate from `ws` instead of a
     /// private pool, so a warmed workspace makes the main loop
     /// allocation-free (and worker threads can share one pool across
-    /// jobs). Since the split-plane rethread (DESIGN.md §16) the hot
-    /// loop's spectral intermediates are re/im plane pairs drawn via
-    /// `take_split`; [`Workspace::warm_spectral`] pre-sizes those
-    /// free-lists alongside the interleaved and real pools.
+    /// jobs). The hot loop's spectral intermediates are re/im plane
+    /// pairs drawn via `take_split` (DESIGN.md §16);
+    /// [`Workspace::warm_spectral`] pre-sizes that free-list.
     #[must_use]
     pub fn workspace(mut self, ws: &'a mut Workspace) -> Self {
         self.workspace = Some(ws);
@@ -245,12 +244,11 @@ impl<'a> ExecutionSession<'a> {
 
     /// Sets the intra-job evaluation thread budget (DESIGN.md §14).
     ///
-    /// With `n >= 2` every objective evaluation runs through
+    /// Every objective evaluation runs through
     /// [`ParallelExec`](crate::parallel::ParallelExec) — `n − 1` pooled
     /// worker threads plus the calling thread — and is **bit-identical**
-    /// to the serial path at every thread count. `n <= 1` (the default)
-    /// compiles down to the exact existing serial code path with no pool
-    /// ever constructed.
+    /// at every thread count. `n <= 1` (the default) is the inline team:
+    /// the same code with no worker thread ever spawned.
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
@@ -362,8 +360,7 @@ fn run_session<I: Instrument>(
 ) -> Result<OptimizationResult, OptimizerError> {
     config.validate().map_err(OptimizerError::InvalidConfig)?;
     let objective = Objective::new(problem, config)?;
-    // `threads <= 1` never builds a pool: evaluations take the exact
-    // existing serial code path.
+    // `threads <= 1` is the inline team: no worker thread is spawned.
     let mut par = objective.parallel_exec(threads);
     let (
         mut state,
@@ -441,14 +438,9 @@ fn run_session<I: Instrument>(
         if config.fault_parallel_panic_at == Some(iteration) {
             // Test-only fault: the next parallel wave's worker 0 panics
             // inside its task, exercising the pool's containment path.
-            if let Some(p) = par.as_ref() {
-                p.arm_panic();
-            }
+            par.arm_panic();
         }
-        match par.as_mut() {
-            Some(p) => objective.evaluate_parallel(&state, ws, &mut eval, p),
-            None => objective.evaluate_into(&state, ws, &mut eval),
-        }
+        objective.evaluate_parallel(&state, ws, &mut eval, &mut par);
         instrument.on_objective_eval();
         if config.fault_nan_gradient_at == Some(iteration) {
             // Test-only fault: poison one gradient entry so the RMS (and
@@ -573,10 +565,7 @@ fn run_session<I: Instrument>(
             for attempt in 0..config.line_search_max_halvings {
                 state.restore_from(&base_vars);
                 state.step(direction, trial);
-                match par.as_mut() {
-                    Some(p) => objective.evaluate_parallel(&state, ws, &mut eval_ls, p),
-                    None => objective.evaluate_into(&state, ws, &mut eval_ls),
-                }
+                objective.evaluate_parallel(&state, ws, &mut eval_ls, &mut par);
                 instrument.on_objective_eval();
                 let f_trial = eval_ls.report.total;
                 if f_trial < value || attempt + 1 == config.line_search_max_halvings {

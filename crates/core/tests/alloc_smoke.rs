@@ -7,12 +7,11 @@
 //! configuration) every warm iteration — objective evaluation, gradient
 //! backpropagation, descent step, best-iterate tracking — must perform
 //! **zero heap allocations**: all spectral scratch comes from the
-//! [`Workspace`] pool the warm-up iteration populated. Since the core
-//! rethread onto the split-plane engine (DESIGN.md §16) the measured
-//! path is the SoA one end to end — `take_split` plane pairs, split
-//! real-FFT halves, split convolve/correlate — so this gate also pins
-//! the split free-lists. Under `--cfg mosaic_simd` the same test
-//! covers the explicit-lane butterflies (tier-1 runs that leg too).
+//! [`Workspace`] pool the warm-up iteration populated. The measured path
+//! is the split-plane engine end to end (DESIGN.md §16) — `take_split`
+//! plane pairs, split real-FFT halves, split convolve/correlate — on
+//! the inline team at one thread and on worker teams beyond that
+//! (DESIGN.md §14).
 //!
 //! The single test function keeps the process free of concurrent test
 //! threads that would pollute the counter.
@@ -125,8 +124,8 @@ fn measured_run(problem: &OpcProblem, threads: usize) -> u64 {
 #[test]
 fn warm_iterations_allocate_nothing() {
     // The scenarios run sequentially inside the one test function so no
-    // concurrent test pollutes the counter: the serial split-plane
-    // baseline, the spectral-team path (single condition → banded split
+    // concurrent test pollutes the counter: the inline team (one
+    // thread), the spectral-team path (single condition → banded split
     // FFTs with lane plane pairs), and the corner fan-out path (process
     // window → each worker runs a whole split-layout corner) at two
     // widths, so both the caller share and multiple worker lanes draw
@@ -134,7 +133,7 @@ fn warm_iterations_allocate_nothing() {
     let nominal = small_problem(ProcessCondition::nominal_only());
     let windowed = small_problem(ProcessCondition::paper_window(25.0, 0.02));
     for (name, problem, threads) in [
-        ("serial split", &nominal, 1),
+        ("inline team", &nominal, 1),
         ("team split threads=2", &nominal, 2),
         ("corners split threads=2", &windowed, 2),
         ("corners split threads=4", &windowed, 4),

@@ -14,7 +14,7 @@
 use mosaic_core::objective::{Evaluation, Objective};
 use mosaic_core::prelude::*;
 use mosaic_geometry::{Layout, Polygon, Rect};
-use mosaic_numerics::{Complex, Workspace};
+use mosaic_numerics::Workspace;
 use mosaic_optics::{OpticsConfig, ProcessCondition, ResistModel};
 
 fn small_problem() -> OpcProblem {
@@ -48,13 +48,19 @@ fn config() -> OptimizationConfig {
 /// a consumer that trusts pooled contents inherits poison.
 fn poison(ws: &mut Workspace, w: usize, h: usize) {
     let full = w * h;
-    for len in [full, full, full, full, w / 2 * h + h, w.max(h)] {
-        let mut c = ws.take_complex(len);
-        c.fill(Complex::new(f64::NAN, f64::NAN));
-        ws.give_complex(c);
-        let mut r = ws.take_real(len);
-        r.fill(f64::NAN);
-        ws.give_real(r);
+    let half = w / 2 * h + h;
+    // Every spectrum is a pair of planes: hold all buffers at once so the
+    // pool ends up with one poisoned buffer per hot-path take.
+    let mut held: Vec<Vec<f64>> = [[full; 12].as_slice(), &[half; 4], &[w.max(h); 4]]
+        .concat()
+        .into_iter()
+        .map(|len| ws.take_real(len))
+        .collect();
+    for buf in &mut held {
+        buf.fill(f64::NAN);
+    }
+    for buf in held {
+        ws.give_real(buf);
     }
 }
 

@@ -29,7 +29,7 @@ use crate::workspace::Workspace;
 /// Stored as split re/im planes ([`SplitSpectrum`], DESIGN.md §16) so
 /// the per-iteration Hadamard products and Hermitian folds walk
 /// unit-stride `f64` slices. Produced by [`Convolver::kernel_spectrum`]
-/// or [`Convolver::kernel_spectrum_centered`]; consumed by the
+/// or built directly in the frequency domain; consumed by the
 /// convolution and correlation calls.
 #[derive(Debug, Clone)]
 pub struct KernelSpectrum {
@@ -61,12 +61,6 @@ impl KernelSpectrum {
         &self.spectrum
     }
 
-    /// The frequency-domain samples re-interleaved into a freshly
-    /// allocated grid (bit-exact copy; cold paths and tests only).
-    pub fn to_grid(&self) -> Grid<Complex> {
-        self.spectrum.to_grid()
-    }
-
     /// Spectrum shape `(width, height)`.
     pub fn dims(&self) -> (usize, usize) {
         self.spectrum.dims()
@@ -76,10 +70,7 @@ impl KernelSpectrum {
     ///
     /// Linearity of the Fourier transform makes this equivalent to
     /// combining the kernels in the spatial domain — this is exactly the
-    /// pre-combination trick of Eq. (21) (`H = Σ_k w_k h_k`). The
-    /// plane-wise walk performs the same per-component arithmetic as the
-    /// interleaved `*a += b.scale(weight)`, so results are bit-identical
-    /// to the former layout.
+    /// pre-combination trick of Eq. (21) (`H = Σ_k w_k h_k`).
     ///
     /// # Panics
     ///
@@ -99,19 +90,26 @@ impl KernelSpectrum {
 
 /// A reusable frequency-domain convolution engine for one grid shape.
 ///
-/// ```
-/// use mosaic_numerics::{Complex, Convolver, Grid};
+/// Every operation runs on a [`SpectralTeam`]; pass
+/// [`SpectralTeam::inline`] for the calling thread alone.
 ///
-/// // Identity kernel (impulse at the center) returns the input unchanged.
+/// ```
+/// use mosaic_numerics::{Complex, Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
+///
+/// // Identity kernel (impulse at the origin) returns the input unchanged.
 /// let n = 8;
 /// let conv = Convolver::new(n, n);
+/// let (mut ws, mut team) = (Workspace::new(), SpectralTeam::inline());
 /// let mut kernel = Grid::<Complex>::zeros(n, n);
-/// kernel[(n / 2, n / 2)] = Complex::ONE;
-/// let spec = conv.kernel_spectrum_centered(&kernel);
+/// kernel[(0, 0)] = Complex::ONE;
+/// let spec = conv.kernel_spectrum(SplitSpectrum::from_grid(&kernel), &mut ws, &mut team);
 /// let image = Grid::from_fn(n, n, |x, y| (x + 2 * y) as f64);
-/// let out = conv.convolve_real(&image, &spec);
-/// for (o, i) in out.iter().zip(image.iter()) {
-///     assert!((o.re - i).abs() < 1e-9 && o.im.abs() < 1e-12);
+/// let mut image_spec = SplitSpectrum::zeros(n, n);
+/// conv.forward_real_split_into(&image, &mut image_spec, &mut ws, &mut team);
+/// let mut out = SplitSpectrum::zeros(n, n);
+/// conv.convolve_spectrum_split_into(&image_spec, &spec, &mut out, &mut ws, &mut team);
+/// for (o, i) in out.re().iter().zip(image.iter()) {
+///     assert!((o - i).abs() < 1e-9);
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -147,331 +145,42 @@ impl Convolver {
         &self.plan
     }
 
-    /// Transforms a kernel whose origin is already at index `(0, 0)`.
-    pub fn kernel_spectrum(&self, kernel: &Grid<Complex>) -> KernelSpectrum {
-        let mut g = kernel.clone();
-        self.plan.process(&mut g, FftDirection::Forward);
-        KernelSpectrum::from_grid(g)
-    }
-
-    /// Transforms a kernel whose origin sits at the grid center
-    /// `(width/2, height/2)` — the natural layout for optical kernels.
-    ///
-    /// The circular shift (an "ifftshift") moves the center to `(0, 0)`
-    /// before transforming, so convolution output is not translated.
-    pub fn kernel_spectrum_centered(&self, kernel: &Grid<Complex>) -> KernelSpectrum {
-        let shifted = kernel.shift_origin(kernel.width() / 2, kernel.height() / 2);
-        self.kernel_spectrum(&shifted)
-    }
-
-    /// Forward-transforms a real field (e.g. the mask `M`).
-    ///
-    /// Computing this once per iteration and reusing it against every
-    /// kernel spectrum is the standard SOCS evaluation pattern.
-    pub fn forward_real(&self, field: &Grid<f64>) -> Grid<Complex> {
-        self.plan.forward_real(field)
-    }
-
-    /// Forward-transforms a complex field.
-    pub fn forward(&self, field: &Grid<Complex>) -> Grid<Complex> {
-        let mut g = field.clone();
-        self.plan.process(&mut g, FftDirection::Forward);
-        g
-    }
-
-    /// Completes a convolution given a precomputed field spectrum:
-    /// `F⁻¹( field_spectrum · kernel )`.
+    /// Forward-transforms a spatial kernel whose origin is at index
+    /// `(0, 0)` into a reusable [`KernelSpectrum`].
     ///
     /// # Panics
     ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum(
+    /// Panics if the kernel shape differs from the plan.
+    pub fn kernel_spectrum(
         &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-    ) -> Grid<Complex> {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        let (kr, ki) = kernel.spectrum.planes();
-        let mut prod = field_spectrum.clone();
-        for ((o, &br), &bi) in prod.iter_mut().zip(kr.iter()).zip(ki.iter()) {
-            *o *= Complex::new(br, bi);
-        }
-        self.plan.process(&mut prod, FftDirection::Inverse);
-        prod
-    }
-
-    /// Completes a correlation with the conjugate-flipped kernel:
-    /// `F⁻¹( field_spectrum · conj(kernel) )`.
-    ///
-    /// This is the `H*(−x) ⊗ G` operation appearing in the closed-form
-    /// gradients (Eq. (14) and (17)).
-    pub fn correlate_spectrum(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-    ) -> Grid<Complex> {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        let (kr, ki) = kernel.spectrum.planes();
-        let mut prod = field_spectrum.clone();
-        for ((o, &br), &bi) in prod.iter_mut().zip(kr.iter()).zip(ki.iter()) {
-            *o *= Complex::new(br, bi).conj();
-        }
-        self.plan.process(&mut prod, FftDirection::Inverse);
-        prod
-    }
-
-    /// One-shot convolution of a real field with a kernel spectrum.
-    pub fn convolve_real(&self, field: &Grid<f64>, kernel: &KernelSpectrum) -> Grid<Complex> {
-        let spectrum = self.forward_real(field);
-        self.convolve_spectrum(&spectrum, kernel)
-    }
-
-    /// One-shot convolution of a complex field with a kernel spectrum.
-    pub fn convolve(&self, field: &Grid<Complex>, kernel: &KernelSpectrum) -> Grid<Complex> {
-        let spectrum = self.forward(field);
-        self.convolve_spectrum(&spectrum, kernel)
-    }
-
-    /// One-shot correlation of a complex field with the conjugate-flipped
-    /// kernel.
-    pub fn correlate(&self, field: &Grid<Complex>, kernel: &KernelSpectrum) -> Grid<Complex> {
-        let spectrum = self.forward(field);
-        self.correlate_spectrum(&spectrum, kernel)
-    }
-
-    /// Forward-transforms a real field into a caller-owned full spectrum
-    /// without allocating: the Hermitian half spectrum is computed first
-    /// and mirrored out (same numerics as [`Convolver::forward_real`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn forward_real_into(
-        &self,
-        field: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-    ) {
-        let mut half = ws.take_complex_grid(self.plan.half_width(), self.height());
-        self.plan.forward_real_into(field, &mut half, ws);
-        self.plan.expand_half_spectrum_into(&half, out);
-        ws.give_complex_grid(half);
-    }
-
-    /// Writes `field_spectrum · kernel` into `out` and inverse-transforms
-    /// it in place: the allocation-free twin of
-    /// [`Convolver::convolve_spectrum`], bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum_into(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
-        let (kr, ki) = kernel.spectrum.planes();
-        for (((o, &a), &br), &bi) in out
-            .iter_mut()
-            .zip(field_spectrum.iter())
-            .zip(kr.iter())
-            .zip(ki.iter())
-        {
-            *o = a * Complex::new(br, bi);
-        }
-        self.plan.process_with(out, FftDirection::Inverse, ws);
-    }
-
-    /// Accumulates `scale · Re[F⁻¹(field_spectrum · conj(kernel))]` into
-    /// `acc` — the gradient correlation of Eq. (14)/(17), which only ever
-    /// consumes the real part.
-    ///
-    /// Implemented through the Hermitian half spectrum: the product's
-    /// Hermitian part `(P(f) + conj(P(−f)))/2` inverse-transforms to
-    /// exactly `Re(F⁻¹ P)` (exact arithmetic), so only `w/2 + 1` columns
-    /// go through the inverse transform. ULP-compatible with
-    /// `correlate_spectrum(...).re()`, not bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_accumulate(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        let mut re = ws.take_real_grid(field_spectrum.width(), field_spectrum.height());
-        self.correlate_spectrum_re_into(field_spectrum, kernel, &mut re, ws);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
-        ws.give_real_grid(re);
-    }
-
-    /// Writes `Re[F⁻¹(field_spectrum · conj(kernel))]` into `re_out`,
-    /// overwriting it — the transform half of
-    /// [`Convolver::correlate_spectrum_re_accumulate`], split out so the
-    /// parallel corner path (DESIGN.md §14) can run the transform on a
-    /// worker thread while the calling thread performs the fixed-order
-    /// serial accumulate that keeps reductions deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_into(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        re_out: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(
-            field_spectrum.dims(),
-            re_out.dims(),
-            "output shape mismatch"
-        );
-        let (w, h) = field_spectrum.dims();
-        let hw = self.plan.half_width();
-        let mut half = ws.take_complex_grid(hw, h);
-        for j in 0..h {
-            let jm = (h - j) % h;
-            for i in 0..hw {
-                let im = (w - i) % w;
-                let p = field_spectrum[(i, j)] * kernel.spectrum.at(j * w + i).conj();
-                let q = field_spectrum[(im, jm)] * kernel.spectrum.at(jm * w + im).conj();
-                half[(i, j)] = (p + q.conj()).scale(0.5);
-            }
-        }
-        self.plan.inverse_real_into(&mut half, re_out, ws);
-        ws.give_complex_grid(half);
-    }
-
-    /// Concurrent twin of [`Convolver::forward_real_into`]: the column
-    /// pass of the real forward transform is banded across `team`'s
-    /// workers. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn forward_real_par(
-        &self,
-        field: &Grid<f64>,
-        out: &mut Grid<Complex>,
+        mut kernel: SplitSpectrum,
         ws: &mut Workspace,
         team: &mut SpectralTeam,
-    ) {
-        let mut half = ws.take_complex_grid(self.plan.half_width(), self.height());
-        self.plan.forward_real_par(field, &mut half, ws, team);
-        self.plan.expand_half_spectrum_into(&half, out);
-        ws.give_complex_grid(half);
+    ) -> KernelSpectrum {
+        self.plan
+            .process_split(&mut kernel, FftDirection::Forward, ws, team);
+        KernelSpectrum::from_split(kernel)
     }
 
-    /// Concurrent twin of [`Convolver::convolve_spectrum_into`]: the
-    /// inverse transform runs through [`Fft2d::process_par`].
-    /// Bit-identical at every worker count.
+    /// Forward-transforms a real field into a freshly allocated full
+    /// spectrum on the calling thread — the cold-path convenience over
+    /// [`forward_real_split_into`](Self::forward_real_split_into).
     ///
     /// # Panics
     ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum_par(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
-        let (kr, ki) = kernel.spectrum.planes();
-        for (((o, &a), &br), &bi) in out
-            .iter_mut()
-            .zip(field_spectrum.iter())
-            .zip(kr.iter())
-            .zip(ki.iter())
-        {
-            *o = a * Complex::new(br, bi);
-        }
-        self.plan.process_par(out, FftDirection::Inverse, ws, team);
+    /// Panics if the field shape differs from the plan.
+    pub fn forward_real(&self, field: &Grid<f64>) -> SplitSpectrum {
+        let mut out = SplitSpectrum::zeros(self.width(), self.height());
+        let mut ws = Workspace::new();
+        self.forward_real_split_into(field, &mut out, &mut ws, &mut SpectralTeam::inline());
+        out
     }
 
-    /// Concurrent twin of
-    /// [`Convolver::correlate_spectrum_re_accumulate`]: the Hermitian
-    /// product and the accumulate stay serial on the calling thread
-    /// (fixed-order reduction), only the inverse transform's column pass
-    /// is banded. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_accumulate_par(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(field_spectrum.dims(), acc.dims(), "output shape mismatch");
-        let (w, h) = field_spectrum.dims();
-        let hw = self.plan.half_width();
-        let mut half = ws.take_complex_grid(hw, h);
-        for j in 0..h {
-            let jm = (h - j) % h;
-            for i in 0..hw {
-                let im = (w - i) % w;
-                let p = field_spectrum[(i, j)] * kernel.spectrum.at(j * w + i).conj();
-                let q = field_spectrum[(im, jm)] * kernel.spectrum.at(jm * w + im).conj();
-                half[(i, j)] = (p + q.conj()).scale(0.5);
-            }
-        }
-        let mut re = ws.take_real_grid(w, h);
-        self.plan.inverse_real_par(&mut half, &mut re, ws, team);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
-        ws.give_real_grid(re);
-        ws.give_complex_grid(half);
-    }
-
-    /// Split-plane twin of [`Convolver::forward_real_into`]: the mask
-    /// spectrum lands directly in structure-of-arrays layout, ready for
-    /// the per-kernel Hadamard products. Bit-identical to the
-    /// interleaved path (DESIGN.md §16).
+    /// Forward-transforms a real field (e.g. the mask `M`) into a
+    /// caller-owned full spectrum: the Hermitian half spectrum is
+    /// computed first (column pass banded across `team`) and mirrored
+    /// out. Computing this once per iteration and reusing it against
+    /// every kernel spectrum is the standard SOCS evaluation pattern.
     ///
     /// # Panics
     ///
@@ -481,37 +190,18 @@ impl Convolver {
         field: &Grid<f64>,
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
-    ) {
-        let mut half = ws.take_split(self.plan.half_width(), self.height());
-        self.plan.forward_real_split_into(field, &mut half, ws);
-        self.plan.expand_half_split_into(&half, out);
-        ws.give_split(half);
-    }
-
-    /// Concurrent twin of [`Convolver::forward_real_split_into`]: the
-    /// column pass of the real forward transform is banded across
-    /// `team`'s workers. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn forward_real_split_par(
-        &self,
-        field: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
         let mut half = ws.take_split(self.plan.half_width(), self.height());
-        self.plan.forward_real_split_par(field, &mut half, ws, team);
+        self.plan.forward_real_split_on(field, &mut half, ws, team);
         self.plan.expand_half_split_into(&half, out);
         ws.give_split(half);
     }
 
-    /// Split-plane twin of [`Convolver::convolve_spectrum_into`]: the
-    /// Hadamard product walks four unit-stride `f64` planes and the
-    /// inverse transform runs in split layout. Bit-identical to the
-    /// interleaved path.
+    /// Writes `field_spectrum · kernel` into `out` and inverse-transforms
+    /// it in place: `out = F⁻¹(field_spectrum · kernel)`, the convolution
+    /// of the field with the kernel. The Hadamard product walks four
+    /// unit-stride `f64` planes; the transform is banded across `team`.
     ///
     /// # Panics
     ///
@@ -522,36 +212,23 @@ impl Convolver {
         kernel: &KernelSpectrum,
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
-    ) {
-        self.hadamard_split(field_spectrum, kernel, out);
-        self.plan.process_split(out, FftDirection::Inverse, ws);
-    }
-
-    /// Concurrent twin of [`Convolver::convolve_spectrum_split_into`]:
-    /// the inverse transform runs through [`Fft2d::process_split_par`].
-    /// Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum_split_par(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
         self.hadamard_split(field_spectrum, kernel, out);
         self.plan
-            .process_split_par(out, FftDirection::Inverse, ws, team);
+            .process_split(out, FftDirection::Inverse, ws, team);
     }
 
-    /// Split-plane twin of [`Convolver::correlate_spectrum_re_into`].
-    /// The expanded `f·conj(k)` and Hermitian-fold formulas perform the
-    /// same float operations as the interleaved path (negation commutes
-    /// with multiplication bitwise, and `a − (−b) = a + b` bitwise), so
-    /// output bits are identical.
+    /// Writes `Re[F⁻¹(field_spectrum · conj(kernel))]` into `re_out`,
+    /// overwriting it — the correlation with the conjugate-flipped
+    /// kernel (`H*(−x) ⊗ G`) of the closed-form gradients (Eq. (14) and
+    /// (17)), which only ever consume the real part.
+    ///
+    /// Implemented through the Hermitian half spectrum: the product's
+    /// Hermitian part `(P(f) + conj(P(−f)))/2` inverse-transforms to
+    /// exactly `Re(F⁻¹ P)` (exact arithmetic), so only `w/2 + 1` columns
+    /// go through the inverse transform. The fold stays on the calling
+    /// thread; the transform's column pass is banded across `team`.
     ///
     /// # Panics
     ///
@@ -562,6 +239,7 @@ impl Convolver {
         kernel: &KernelSpectrum,
         re_out: &mut Grid<f64>,
         ws: &mut Workspace,
+        team: &mut SpectralTeam,
     ) {
         assert_eq!(
             field_spectrum.dims(),
@@ -571,13 +249,16 @@ impl Convolver {
         let (_, h) = field_spectrum.dims();
         let mut half = ws.take_split(self.plan.half_width(), h);
         self.fold_hermitian_split(field_spectrum, kernel, &mut half);
-        self.plan.inverse_real_split_into(&mut half, re_out, ws);
+        self.plan.inverse_real_split_on(&mut half, re_out, ws, team);
         ws.give_split(half);
     }
 
-    /// Split-plane twin of
-    /// [`Convolver::correlate_spectrum_re_accumulate`]. Bit-identical
-    /// to it (see [`Convolver::correlate_spectrum_re_split_into`]).
+    /// Accumulates `scale · Re[F⁻¹(field_spectrum · conj(kernel))]` into
+    /// `acc` (see
+    /// [`correlate_spectrum_re_split_into`](Self::correlate_spectrum_re_split_into)).
+    /// The accumulate runs on the calling thread in pixel order, the
+    /// fixed-order reduction that keeps results the same at every team
+    /// size.
     ///
     /// # Panics
     ///
@@ -589,51 +270,18 @@ impl Convolver {
         scale: f64,
         acc: &mut Grid<f64>,
         ws: &mut Workspace,
-    ) {
-        let (w, h) = field_spectrum.dims();
-        let mut re = ws.take_real_grid(w, h);
-        self.correlate_spectrum_re_split_into(field_spectrum, kernel, &mut re, ws);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
-        ws.give_real_grid(re);
-    }
-
-    /// Concurrent twin of
-    /// [`Convolver::correlate_spectrum_re_accumulate_split`]: the fold
-    /// and the accumulate stay serial on the calling thread
-    /// (fixed-order reduction), only the inverse transform's column
-    /// pass is banded. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_accumulate_split_par(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
         assert_eq!(field_spectrum.dims(), acc.dims(), "output shape mismatch");
         let (w, h) = field_spectrum.dims();
-        let mut half = ws.take_split(self.plan.half_width(), h);
-        self.fold_hermitian_split(field_spectrum, kernel, &mut half);
         let mut re = ws.take_real_grid(w, h);
-        self.plan
-            .inverse_real_split_par(&mut half, &mut re, ws, team);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
+        self.correlate_spectrum_re_split_into(field_spectrum, kernel, &mut re, ws, team);
+        acc.accumulate_scaled(&re, scale);
         ws.give_real_grid(re);
-        ws.give_split(half);
     }
 
-    /// `out = field_spectrum · kernel`, plane-wise. The expanded complex
-    /// product (`re = ar·br − ai·bi`, `im = ar·bi + ai·br`) is exactly
-    /// the interleaved `Complex::mul`, so bits match the AoS Hadamard.
+    /// `out = field_spectrum · kernel`, plane-wise
+    /// (`re = ar·br − ai·bi`, `im = ar·bi + ai·br`).
     fn hadamard_split(
         &self,
         field_spectrum: &SplitSpectrum,
@@ -656,8 +304,7 @@ impl Convolver {
     }
 
     /// Writes the Hermitian part of `field_spectrum · conj(kernel)` into
-    /// the `w/2 + 1`-column `half` spectrum — the split-plane fold
-    /// behind both correlation entry points.
+    /// the `w/2 + 1`-column `half` spectrum.
     fn fold_hermitian_split(
         &self,
         field_spectrum: &SplitSpectrum,
@@ -739,15 +386,56 @@ mod tests {
         })
     }
 
+    /// A convolver plus the scratch and inline team its calls need.
+    struct Rig {
+        conv: Convolver,
+        ws: Workspace,
+        team: SpectralTeam,
+    }
+
+    impl Rig {
+        fn new(w: usize, h: usize) -> Self {
+            Rig {
+                conv: Convolver::new(w, h),
+                ws: Workspace::new(),
+                team: SpectralTeam::inline(),
+            }
+        }
+
+        fn kernel(&mut self, kernel: &Grid<Complex>) -> KernelSpectrum {
+            self.conv.kernel_spectrum(
+                SplitSpectrum::from_grid(kernel),
+                &mut self.ws,
+                &mut self.team,
+            )
+        }
+
+        fn forward(&mut self, field: &Grid<Complex>) -> SplitSpectrum {
+            self.kernel(field).split().clone()
+        }
+
+        fn convolve(&mut self, field: &Grid<Complex>, kernel: &KernelSpectrum) -> Grid<Complex> {
+            let spectrum = self.forward(field);
+            let mut out = SplitSpectrum::zeros(field.width(), field.height());
+            self.conv.convolve_spectrum_split_into(
+                &spectrum,
+                kernel,
+                &mut out,
+                &mut self.ws,
+                &mut self.team,
+            );
+            out.to_grid()
+        }
+    }
+
     #[test]
     fn matches_direct_convolution() {
-        let w = 8;
-        let h = 4;
+        let (w, h) = (8, 4);
         let field = random_ish_grid(w, h, 7);
         let kernel = random_ish_grid(w, h, 99);
-        let conv = Convolver::new(w, h);
-        let spec = conv.kernel_spectrum(&kernel);
-        let fast = conv.convolve(&field, &spec);
+        let mut rig = Rig::new(w, h);
+        let spec = rig.kernel(&kernel);
+        let fast = rig.convolve(&field, &spec);
         let slow = convolve_reference(&field, &kernel);
         assert_grid_close(&fast, &slow, 1e-9);
     }
@@ -755,17 +443,17 @@ mod tests {
     #[test]
     fn centered_kernel_does_not_translate() {
         let n = 16;
-        let conv = Convolver::new(n, n);
-        // Gaussian-ish bump centered at grid center.
+        let mut rig = Rig::new(n, n);
+        // Gaussian-ish bump centered at grid center, shifted to the origin.
         let kernel = Grid::from_fn(n, n, |x, y| {
             let dx = x as f64 - (n / 2) as f64;
             let dy = y as f64 - (n / 2) as f64;
             Complex::new((-0.5 * (dx * dx + dy * dy)).exp(), 0.0)
         });
-        let spec = conv.kernel_spectrum_centered(&kernel);
+        let spec = rig.kernel(&kernel.shift_origin(n / 2, n / 2));
         let mut impulse = Grid::<f64>::zeros(n, n);
         impulse[(5, 9)] = 1.0;
-        let out = conv.convolve_real(&impulse, &spec);
+        let out = rig.convolve(&impulse.map(|&v| Complex::new(v, 0.0)), &spec);
         // Peak of output must be at the impulse location.
         let mut best = (0, 0);
         let mut best_v = f64::MIN;
@@ -780,73 +468,80 @@ mod tests {
 
     #[test]
     fn correlation_flips_the_kernel() {
-        // correlate(field, h) must equal convolve(field, conj(h(-x))).
-        let w = 8;
-        let h = 8;
+        // Re[correlate(field, h)] must equal Re[convolve(field, conj(h(-x)))].
+        let (w, h) = (8, 8);
         let field = random_ish_grid(w, h, 3);
         let kernel = random_ish_grid(w, h, 4);
-        let conv = Convolver::new(w, h);
-        let spec = conv.kernel_spectrum(&kernel);
-        let corr = conv.correlate(&field, &spec);
+        let mut rig = Rig::new(w, h);
+        let spec = rig.kernel(&kernel);
+        let field_spectrum = rig.forward(&field);
+        let mut corr = Grid::zeros(w, h);
+        rig.conv.correlate_spectrum_re_split_into(
+            &field_spectrum,
+            &spec,
+            &mut corr,
+            &mut rig.ws,
+            &mut rig.team,
+        );
         // Build conj(h(-x)) explicitly: index n -> (N - n) mod N, conjugated.
         let flipped = Grid::from_fn(w, h, |x, y| kernel[((w - x) % w, (h - y) % h)].conj());
-        let spec_f = conv.kernel_spectrum(&flipped);
-        let conv_f = conv.convolve(&field, &spec_f);
-        assert_grid_close(&corr, &conv_f, 1e-9);
+        let spec_f = rig.kernel(&flipped);
+        let conv_f = rig.convolve(&field, &spec_f);
+        for (a, b) in corr.iter().zip(conv_f.iter()) {
+            assert!((a - b.re).abs() < 1e-9, "{a} vs {}", b.re);
+        }
     }
 
     #[test]
     fn spectrum_accumulate_matches_spatial_sum() {
         // FFT(w1*h1 + w2*h2) == w1*FFT(h1) + w2*FFT(h2) — Eq. (21).
         let n = 8;
-        let conv = Convolver::new(n, n);
+        let mut rig = Rig::new(n, n);
         let h1 = random_ish_grid(n, n, 11);
         let h2 = random_ish_grid(n, n, 22);
         let mut combined = KernelSpectrum::zeros(n, n);
-        combined.accumulate(&conv.kernel_spectrum(&h1), 0.7);
-        combined.accumulate(&conv.kernel_spectrum(&h2), 0.3);
+        combined.accumulate(&rig.kernel(&h1), 0.7);
+        combined.accumulate(&rig.kernel(&h2), 0.3);
         let spatial = h1.zip_map(&h2, |&a, &b| a.scale(0.7) + b.scale(0.3));
-        let expect = conv.kernel_spectrum(&spatial);
-        assert_grid_close(&combined.to_grid(), &expect.to_grid(), 1e-9);
+        let expect = rig.kernel(&spatial);
+        assert_grid_close(&combined.split().to_grid(), &expect.split().to_grid(), 1e-9);
     }
 
     #[test]
     fn convolution_is_linear_in_field() {
         let n = 8;
-        let conv = Convolver::new(n, n);
-        let kernel = conv.kernel_spectrum(&random_ish_grid(n, n, 5));
+        let mut rig = Rig::new(n, n);
+        let kernel = rig.kernel(&random_ish_grid(n, n, 5));
         let f1 = random_ish_grid(n, n, 6);
         let f2 = random_ish_grid(n, n, 7);
         let sum = f1.zip_map(&f2, |&a, &b| a + b);
-        let c1 = conv.convolve(&f1, &kernel);
-        let c2 = conv.convolve(&f2, &kernel);
-        let cs = conv.convolve(&sum, &kernel);
+        let c1 = rig.convolve(&f1, &kernel);
+        let c2 = rig.convolve(&f2, &kernel);
+        let cs = rig.convolve(&sum, &kernel);
         let expect = c1.zip_map(&c2, |&a, &b| a + b);
         assert_grid_close(&cs, &expect, 1e-9);
     }
 
     #[test]
-    fn reusing_field_spectrum_matches_one_shot() {
-        let n = 8;
-        let conv = Convolver::new(n, n);
-        let field = random_ish_grid(n, n, 42);
-        let k1 = conv.kernel_spectrum(&random_ish_grid(n, n, 1));
-        let k2 = conv.kernel_spectrum(&random_ish_grid(n, n, 2));
-        let spectrum = conv.forward(&field);
-        let a1 = conv.convolve_spectrum(&spectrum, &k1);
-        let a2 = conv.convolve_spectrum(&spectrum, &k2);
-        assert_grid_close(&a1, &conv.convolve(&field, &k1), 1e-10);
-        assert_grid_close(&a2, &conv.convolve(&field, &k2), 1e-10);
+    fn real_forward_matches_complex_forward() {
+        let (w, h) = (12, 10);
+        let mut rig = Rig::new(w, h);
+        let real = Grid::from_fn(w, h, |x, y| (x as f64 * 0.7 - y as f64 * 0.2).sin());
+        let mut spectrum = SplitSpectrum::zeros(w, h);
+        rig.conv
+            .forward_real_split_into(&real, &mut spectrum, &mut rig.ws, &mut rig.team);
+        let expect = rig.forward(&real.map(|&v| Complex::new(v, 0.0)));
+        assert_grid_close(&spectrum.to_grid(), &expect.to_grid(), 1e-9);
     }
 
     #[test]
     fn works_on_non_power_of_two_grids() {
-        let w = 12;
-        let h = 10;
+        let (w, h) = (12, 10);
         let field = random_ish_grid(w, h, 9);
         let kernel = random_ish_grid(w, h, 10);
-        let conv = Convolver::new(w, h);
-        let fast = conv.convolve(&field, &conv.kernel_spectrum(&kernel));
+        let mut rig = Rig::new(w, h);
+        let spec = rig.kernel(&kernel);
+        let fast = rig.convolve(&field, &spec);
         let slow = convolve_reference(&field, &kernel);
         assert_grid_close(&fast, &slow, 1e-8);
     }

@@ -7,7 +7,6 @@
 //! zero-based; physical units (1 nm per pixel in the paper's setup) are the
 //! caller's concern.
 
-use crate::complex::Complex;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -381,11 +380,6 @@ impl Grid<f64> {
         }
     }
 
-    /// Converts to a complex grid with zero imaginary part.
-    pub fn to_complex(&self) -> Grid<Complex> {
-        self.map(|&v| Complex::new(v, 0.0))
-    }
-
     /// Thresholds into a binary grid: `1.0` where `value > threshold`.
     ///
     /// This is the hard photoresist step model of Eq. (3).
@@ -431,40 +425,16 @@ impl Grid<f64> {
     }
 }
 
-impl Grid<Complex> {
-    /// Pixel-wise squared modulus, producing the intensity grid `|F|²`.
-    pub fn norm_sqr(&self) -> Grid<f64> {
-        self.map(|z| z.norm_sqr())
-    }
-
-    /// Pixel-wise real part.
-    pub fn re(&self) -> Grid<f64> {
-        self.map(|z| z.re)
-    }
-
-    /// Pixel-wise complex conjugate.
-    pub fn conj(&self) -> Grid<Complex> {
-        self.map(|z| z.conj())
-    }
-
-    /// Pixel-wise product with another complex grid (Hadamard product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn hadamard(&self, other: &Grid<Complex>) -> Grid<Complex> {
-        self.zip_map(other, |&a, &b| a * b)
-    }
-
+impl<T: Clone> Grid<T> {
     /// Circularly shifts the grid so that the pixel at `(cx, cy)` moves to
     /// `(0, 0)`.
     ///
     /// FFT-based convolution treats index `(0, 0)` as the kernel origin;
-    /// optical kernels are naturally built centered at `(w/2, h/2)`, and
+    /// optical kernels are naturally viewed centered at `(w/2, h/2)`, and
     /// this shift converts between the two conventions ("ifftshift").
-    pub fn shift_origin(&self, cx: usize, cy: usize) -> Grid<Complex> {
+    pub fn shift_origin(&self, cx: usize, cy: usize) -> Grid<T> {
         let (w, h) = self.dims();
-        Grid::from_fn(w, h, |x, y| self[((x + cx) % w, (y + cy) % h)])
+        Grid::from_fn(w, h, |x, y| self[((x + cx) % w, (y + cy) % h)].clone())
     }
 }
 
@@ -477,6 +447,7 @@ impl<T> AsRef<[T]> for Grid<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex;
 
     #[test]
     fn from_fn_row_major_order() {
@@ -553,13 +524,6 @@ mod tests {
         let s = g.shift_origin(2, 2);
         assert_eq!(s[(0, 0)], Complex::ONE);
         assert_eq!(s[(2, 2)], Complex::ZERO);
-    }
-
-    #[test]
-    fn norm_sqr_of_complex_grid() {
-        let g = Grid::filled(2, 1, Complex::new(3.0, 4.0));
-        let i = g.norm_sqr();
-        assert_eq!(i.as_slice(), &[25.0, 25.0]);
     }
 
     #[test]

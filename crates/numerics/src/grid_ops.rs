@@ -5,7 +5,6 @@
 //! to the math. All binary operators panic on shape mismatch, like every
 //! other same-shape operation in this crate.
 
-use crate::complex::Complex;
 use crate::grid::Grid;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -26,9 +25,6 @@ macro_rules! elementwise_binop {
 elementwise_binop!(Add, add, +, f64);
 elementwise_binop!(Sub, sub, -, f64);
 elementwise_binop!(Mul, mul, *, f64);
-elementwise_binop!(Add, add, +, Complex);
-elementwise_binop!(Sub, sub, -, Complex);
-elementwise_binop!(Mul, mul, *, Complex);
 
 macro_rules! elementwise_assign {
     ($trait:ident, $method:ident, $op:tt, $t:ty) => {
@@ -49,9 +45,6 @@ macro_rules! elementwise_assign {
 elementwise_assign!(AddAssign, add_assign, +=, f64);
 elementwise_assign!(SubAssign, sub_assign, -=, f64);
 elementwise_assign!(MulAssign, mul_assign, *=, f64);
-elementwise_assign!(AddAssign, add_assign, +=, Complex);
-elementwise_assign!(SubAssign, sub_assign, -=, Complex);
-elementwise_assign!(MulAssign, mul_assign, *=, Complex);
 
 impl Mul<f64> for &Grid<f64> {
     type Output = Grid<f64>;
@@ -60,23 +53,9 @@ impl Mul<f64> for &Grid<f64> {
     }
 }
 
-impl Mul<f64> for &Grid<Complex> {
-    type Output = Grid<Complex>;
-    fn mul(self, rhs: f64) -> Grid<Complex> {
-        self.map(|&v| v.scale(rhs))
-    }
-}
-
 impl Neg for &Grid<f64> {
     type Output = Grid<f64>;
     fn neg(self) -> Grid<f64> {
-        self.map(|&v| -v)
-    }
-}
-
-impl Neg for &Grid<Complex> {
-    type Output = Grid<Complex>;
-    fn neg(self) -> Grid<Complex> {
         self.map(|&v| -v)
     }
 }
@@ -111,21 +90,6 @@ mod tests {
         assert_eq!(g.as_slice(), a().as_slice());
         g *= &a();
         assert_eq!(g.as_slice(), &[1.0, 4.0, 9.0, 16.0]);
-    }
-
-    #[test]
-    fn complex_operators() {
-        let i = Grid::filled(2, 1, Complex::I);
-        let one = Grid::filled(2, 1, Complex::ONE);
-        let sum = &i + &one;
-        assert_eq!(sum.as_slice(), &[Complex::new(1.0, 1.0); 2]);
-        let prod = &i * &i;
-        assert_eq!(prod.as_slice(), &[Complex::new(-1.0, 0.0); 2]);
-        let scaled = &i * 3.0;
-        assert_eq!(scaled.as_slice(), &[Complex::new(0.0, 3.0); 2]);
-        let mut acc = one;
-        acc += &i;
-        assert_eq!(acc.as_slice(), &[Complex::new(1.0, 1.0); 2]);
     }
 
     #[test]

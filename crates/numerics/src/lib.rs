@@ -12,13 +12,14 @@
 //!   fallback for arbitrary lengths ([`fft`]).
 //! * [`Convolver`] — frequency-domain circular convolution/correlation with
 //!   cached kernel spectra ([`conv`]).
-//! * [`SplitSpectrum`] — split re/im planes (structure of arrays) used by
-//!   every spectral hot loop so inner walks autovectorize ([`split`]).
+//! * [`SplitSpectrum`] — split re/im planes (structure of arrays), the one
+//!   layout every spectral operation computes in ([`split`]).
 //! * [`Workspace`] — pooled scratch buffers that make the whole spectral
 //!   pipeline allocation-free after warm-up ([`workspace`]).
 //! * [`WorkerPool`] / [`SpectralTeam`] — a reusable std-only worker team
-//!   with per-thread workspaces behind the concurrent FFT and the
-//!   intra-job parallel evaluation path ([`pool`]).
+//!   with per-thread workspaces; every 2-D spectral operation runs banded
+//!   on one, and the inline team (no workers) is the serial path
+//!   ([`pool`]).
 //! * Reductions and error metrics used by optimizer stopping rules
 //!   ([`stats`]).
 //!
@@ -29,17 +30,23 @@
 //!
 //! // Convolve an impulse with a 3x3 box kernel: the impulse reproduces
 //! // the kernel.
+//! let (mut ws, mut team) = (Workspace::new(), SpectralTeam::inline());
 //! let mut image = Grid::<f64>::zeros(16, 16);
 //! image[(8, 8)] = 1.0;
 //! let mut kernel = Grid::<Complex>::zeros(16, 16);
-//! for dy in -1i64..=1 {
-//!     for dx in -1i64..=1 {
-//!         kernel[((8 + dx) as usize, (8 + dy) as usize)] = Complex::new(1.0, 0.0);
+//! for dy in 0..3 {
+//!     for dx in 0..3 {
+//!         // Kernel origin at (0, 0): offsets −1..=1 wrap around.
+//!         kernel[((16 + dx - 1) % 16, (16 + dy - 1) % 16)] = Complex::ONE;
 //!     }
 //! }
 //! let conv = Convolver::new(16, 16);
-//! let spectrum = conv.kernel_spectrum_centered(&kernel);
-//! let out = conv.convolve_real(&image, &spectrum);
+//! let spectrum = conv.kernel_spectrum(SplitSpectrum::from_grid(&kernel), &mut ws, &mut team);
+//! let mut image_spectrum = SplitSpectrum::zeros(16, 16);
+//! conv.forward_real_split_into(&image, &mut image_spectrum, &mut ws, &mut team);
+//! let mut out = SplitSpectrum::zeros(16, 16);
+//! conv.convolve_spectrum_split_into(&image_spectrum, &spectrum, &mut out, &mut ws, &mut team);
+//! let out = out.to_grid();
 //! assert!((out[(8, 8)].norm() - 1.0).abs() < 1e-9);
 //! assert!((out[(9, 9)].norm() - 1.0).abs() < 1e-9);
 //! assert!(out[(11, 8)].norm() < 1e-9);

@@ -23,9 +23,7 @@
 //! scheduler's existing per-job `catch_unwind` / degradation-ladder
 //! retry machinery handles the failure exactly like a serial panic.
 
-use crate::complex::Complex;
 use crate::fft::{Fft, Fft2d, FftDirection};
-use crate::grid::Grid;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,6 +61,9 @@ enum SlotState<T> {
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
     cv: Condvar,
+    /// One-shot fault trigger (see [`WorkerPool::arm_panic`]); only
+    /// lane 0's is ever set.
+    armed: AtomicBool,
 }
 
 /// Locks a slot, treating a poisoned mutex as usable: the poison flag
@@ -100,9 +101,6 @@ pub struct WorkerPool<T: PoolTask> {
     /// Which lanes currently hold dispatched (uncollected) work.
     busy: Vec<bool>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// One-shot fault trigger consumed by worker 0 (see
-    /// [`WorkerPool::arm_panic`]).
-    armed: Arc<AtomicBool>,
 }
 
 impl<T: PoolTask> std::fmt::Debug for WorkerPool<T> {
@@ -116,23 +114,21 @@ impl<T: PoolTask> std::fmt::Debug for WorkerPool<T> {
 impl<T: PoolTask> WorkerPool<T> {
     /// Spawns `workers` worker threads. Spawn failures degrade
     /// gracefully to a smaller team (possibly empty) — determinism does
-    /// not depend on the worker count, only throughput does.
+    /// not depend on the worker count, only throughput does. A pool of
+    /// zero workers performs no allocation.
     pub fn new(workers: usize) -> Self {
-        let armed = Arc::new(AtomicBool::new(false));
         let mut slots = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for index in 0..workers {
             let slot = Arc::new(Slot {
                 state: Mutex::new(SlotState::Idle),
                 cv: Condvar::new(),
+                armed: AtomicBool::new(false),
             });
             let worker_slot = Arc::clone(&slot);
-            // Only worker 0 consumes the fault trigger, so an injected
-            // panic is deterministic regardless of the team size.
-            let trigger = (index == 0).then(|| Arc::clone(&armed));
             let spawned = std::thread::Builder::new()
                 .name(format!("mosaic-pool-{index}"))
-                .spawn(move || worker_loop(&worker_slot, trigger.as_deref()));
+                .spawn(move || worker_loop(&worker_slot));
             match spawned {
                 Ok(handle) => {
                     slots.push(slot);
@@ -146,7 +142,6 @@ impl<T: PoolTask> WorkerPool<T> {
             slots,
             busy,
             handles,
-            armed,
         }
     }
 
@@ -229,7 +224,11 @@ impl<T: PoolTask> WorkerPool<T> {
     /// (`FaultKind::ParallelPanicAtIteration`); proves the containment
     /// and retry story on the real parallel path.
     pub fn arm_panic(&self) {
-        self.armed.store(true, Ordering::SeqCst);
+        // Only worker 0 is armed, so an injected panic is deterministic
+        // regardless of the team size.
+        if let Some(slot) = self.slots.first() {
+            slot.armed.store(true, Ordering::SeqCst);
+        }
     }
 }
 
@@ -249,7 +248,7 @@ impl<T: PoolTask> Drop for WorkerPool<T> {
 /// The worker thread body: wait for a pending task, run it under
 /// `catch_unwind` with this thread's private workspace, post the result
 /// (or the contained panic) back, repeat until stopped.
-fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
+fn worker_loop<T: PoolTask>(slot: &Slot<T>) {
     let mut ws = Workspace::new();
     loop {
         let mut task = {
@@ -268,7 +267,7 @@ fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
                 }
             }
         };
-        let inject = trigger.is_some_and(|t| t.swap(false, Ordering::SeqCst));
+        let inject = slot.armed.swap(false, Ordering::SeqCst);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 injected_worker_panic();
@@ -289,34 +288,18 @@ fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
     }
 }
 
-/// A spectral work item for the concurrent 2-D FFT (see
-/// [`Fft2d::process_par`](crate::fft::Fft2d::process_par)): either a
-/// contiguous band of 1-D transforms or a whole serial 2-D transform.
+/// A spectral work item for a worker lane: either a contiguous band of
+/// 1-D transforms (the banded 2-D FFT passes) or a whole 2-D transform
+/// (the per-kernel SOCS fan-out).
+// Tasks live in persistent lane slots and only move between a lane and
+// its worker; boxing the large variant would allocate on every wave.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum SpectralTask {
-    /// Apply `plan` to each consecutive `plan.len()`-sized row of `buf`.
-    Rows {
-        /// The 1-D plan shared with the caller (`Arc`-backed, clone-cheap).
-        plan: Fft,
-        /// Transform direction.
-        direction: FftDirection,
-        /// The band's rows, packed back to back; transformed in place.
-        buf: Vec<Complex>,
-    },
-    /// Run a full serial 2-D transform of `grid` on the worker.
-    Grid2d {
-        /// The 2-D plan shared with the caller.
-        plan: Fft2d,
-        /// Transform direction.
-        direction: FftDirection,
-        /// The grid to transform in place.
-        grid: Grid<Complex>,
-    },
     /// Apply `plan` to each consecutive `plan.len()`-sized row of the
-    /// split re/im planes (the structure-of-arrays hot path,
-    /// DESIGN.md §16).
+    /// split re/im planes.
     SplitRows {
-        /// The 1-D plan shared with the caller.
+        /// The 1-D plan shared with the caller (`Arc`-backed, clone-cheap).
         plan: Fft,
         /// Transform direction.
         direction: FftDirection,
@@ -325,7 +308,8 @@ pub enum SpectralTask {
         /// The band's imaginary plane, same packing.
         im: Vec<f64>,
     },
-    /// Run a full serial split-plane 2-D transform on the worker.
+    /// Run a full 2-D transform on the worker (inline, on the worker's
+    /// own thread).
     SplitGrid2d {
         /// The 2-D plan shared with the caller.
         plan: Fft2d,
@@ -339,21 +323,6 @@ pub enum SpectralTask {
 impl PoolTask for SpectralTask {
     fn run(&mut self, ws: &mut Workspace) {
         match self {
-            SpectralTask::Rows {
-                plan,
-                direction,
-                buf,
-            } => {
-                let len = plan.len();
-                for row in buf.chunks_exact_mut(len) {
-                    plan.process_with(row, *direction, ws);
-                }
-            }
-            SpectralTask::Grid2d {
-                plan,
-                direction,
-                grid,
-            } => plan.process_with(grid, *direction, ws),
             SpectralTask::SplitRows {
                 plan,
                 direction,
@@ -369,18 +338,20 @@ impl PoolTask for SpectralTask {
                 plan,
                 direction,
                 spec,
-            } => plan.process_split(spec, *direction, ws),
+            } => plan.process_split(spec, *direction, ws, &mut SpectralTeam::inline()),
         }
     }
 }
 
 /// A [`WorkerPool`] of [`SpectralTask`]s plus its persistent lane
-/// buffers — the reusable worker team behind every `*_par` entry point
-/// in [`crate::fft`], [`crate::conv`] and the optics/core crates.
+/// buffers — the worker team every banded operation in [`crate::fft`],
+/// [`crate::conv`] and the optics/core crates runs on.
 ///
-/// Lane buffers are recycled across waves
-/// ([`lane_grid`](Self::lane_grid) / the rows twin), so a warmed team
-/// performs no steady-state allocations.
+/// A team with zero workers ([`SpectralTeam::inline`]) is the serial
+/// path: every operation then runs its single band on the calling
+/// thread. Lane buffers are recycled across waves
+/// ([`lane_split_grid`](Self::lane_split_grid) and the row bands), so a
+/// warmed team performs no steady-state allocations.
 #[derive(Debug)]
 pub struct SpectralTeam {
     pool: WorkerPool<SpectralTask>,
@@ -388,12 +359,17 @@ pub struct SpectralTeam {
 }
 
 impl SpectralTeam {
-    /// A team of `workers` threads (0 is valid: every `*_par` call then
-    /// degrades to its serial twin).
+    /// A team of `workers` threads plus the calling thread.
     pub fn new(workers: usize) -> Self {
         let pool = WorkerPool::new(workers);
         let lanes = (0..pool.workers()).map(|_| None).collect();
         SpectralTeam { pool, lanes }
+    }
+
+    /// The team of one: no worker threads, every band runs on the
+    /// calling thread. Creating one performs no allocation.
+    pub fn inline() -> Self {
+        SpectralTeam::new(0)
     }
 
     /// Number of worker lanes.
@@ -408,80 +384,16 @@ impl SpectralTeam {
     }
 
     /// Recycles lane `lane`'s previous task storage into a
-    /// `width × height` grid with unspecified contents, allocating only
-    /// if the lane never held a task of sufficient capacity.
-    pub fn lane_grid(&mut self, lane: usize, width: usize, height: usize) -> Grid<Complex> {
-        Grid::from_vec_resized(width, height, self.recycle(lane))
-    }
-
-    /// Posts a serial 2-D transform of `grid` as lane `lane`'s task for
-    /// the next [`dispatch`](Self::dispatch).
-    pub fn submit_grid(
-        &mut self,
-        lane: usize,
-        plan: &Fft2d,
-        direction: FftDirection,
-        grid: Grid<Complex>,
-    ) {
-        self.lanes[lane] = Some(SpectralTask::Grid2d {
-            plan: plan.clone(),
-            direction,
-            grid,
-        });
-    }
-
-    /// The grid computed by lane `lane`'s last collected
-    /// [`SpectralTask::Grid2d`] task, if that is what the lane holds.
-    pub fn grid_result(&self, lane: usize) -> Option<&Grid<Complex>> {
-        match self.lanes.get(lane)? {
-            Some(SpectralTask::Grid2d { grid, .. }) => Some(grid),
-            _ => None,
-        }
-    }
-
-    /// Recycles lane `lane`'s previous task storage as a bare buffer
-    /// (emptied, capacity preserved).
-    pub(crate) fn lane_rows_buf(&mut self, lane: usize) -> Vec<Complex> {
-        let mut buf = self.recycle(lane);
-        buf.clear();
-        buf
-    }
-
-    /// Posts a banded 1-D row pass as lane `lane`'s task.
-    pub(crate) fn submit_rows(
-        &mut self,
-        lane: usize,
-        plan: &Fft,
-        direction: FftDirection,
-        buf: Vec<Complex>,
-    ) {
-        self.lanes[lane] = Some(SpectralTask::Rows {
-            plan: plan.clone(),
-            direction,
-            buf,
-        });
-    }
-
-    /// The row band transformed by lane `lane`'s last collected
-    /// [`SpectralTask::Rows`] task, if that is what the lane holds.
-    pub(crate) fn rows_result(&self, lane: usize) -> Option<&[Complex]> {
-        match self.lanes.get(lane)? {
-            Some(SpectralTask::Rows { buf, .. }) => Some(buf),
-            _ => None,
-        }
-    }
-
-    /// Recycles lane `lane`'s previous task storage into a
     /// `width × height` split spectrum with unspecified contents,
-    /// allocating only if the lane never held a split task of
-    /// sufficient capacity.
+    /// allocating only if the lane never held a task of sufficient
+    /// capacity.
     pub fn lane_split_grid(&mut self, lane: usize, width: usize, height: usize) -> SplitSpectrum {
         let (re, im) = self.recycle_split(lane);
         SplitSpectrum::from_parts(width, height, re, im)
     }
 
-    /// Posts a serial split-plane 2-D transform of `spec` as lane
-    /// `lane`'s task for the next [`dispatch`](Self::dispatch).
+    /// Posts a 2-D transform of `spec` as lane `lane`'s task for the
+    /// next [`dispatch`](Self::dispatch).
     pub fn submit_split_grid(
         &mut self,
         lane: usize,
@@ -515,7 +427,7 @@ impl SpectralTeam {
         (re, im)
     }
 
-    /// Posts a banded split-plane 1-D row pass as lane `lane`'s task.
+    /// Posts a banded 1-D row pass as lane `lane`'s task.
     pub(crate) fn submit_split_rows(
         &mut self,
         lane: usize,
@@ -542,9 +454,15 @@ impl SpectralTeam {
         }
     }
 
-    /// Dispatches every posted lane task to the workers.
-    pub fn dispatch(&mut self) {
-        self.pool.dispatch(&mut self.lanes);
+    /// Dispatches the tasks posted to lanes `0..lanes` this wave. Lanes
+    /// past `lanes` keep their last finished task (for buffer
+    /// recycling) and are not run again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds [`workers`](Self::workers).
+    pub fn dispatch(&mut self, lanes: usize) {
+        self.pool.dispatch(&mut self.lanes[..lanes]);
     }
 
     /// Waits for the dispatched wave and moves the finished tasks back
@@ -554,19 +472,11 @@ impl SpectralTeam {
         self.pool.collect(&mut self.lanes);
     }
 
-    fn recycle(&mut self, lane: usize) -> Vec<Complex> {
-        match self.lanes[lane].take() {
-            Some(SpectralTask::Rows { buf, .. }) => buf,
-            Some(SpectralTask::Grid2d { grid, .. }) => grid.into_vec(),
-            Some(_) | None => Vec::new(),
-        }
-    }
-
     fn recycle_split(&mut self, lane: usize) -> (Vec<f64>, Vec<f64>) {
         match self.lanes[lane].take() {
             Some(SpectralTask::SplitRows { re, im, .. }) => (re, im),
             Some(SpectralTask::SplitGrid2d { spec, .. }) => spec.into_parts(),
-            Some(_) | None => (Vec::new(), Vec::new()),
+            None => (Vec::new(), Vec::new()),
         }
     }
 }
@@ -683,20 +593,28 @@ mod tests {
     }
 
     #[test]
-    fn spectral_team_lane_buffers_are_recycled() {
-        let mut team = SpectralTeam::new(1);
-        if team.workers() == 0 {
+    fn partial_wave_leaves_idle_lanes_alone() {
+        let mut team = SpectralTeam::new(2);
+        if team.workers() < 2 {
             return; // spawn-restricted environment
         }
         let plan = Fft2d::new(8, 8);
-        let grid = team.lane_grid(0, 8, 8);
-        team.submit_grid(0, &plan, FftDirection::Forward, grid);
-        team.dispatch();
+        for lane in 0..2 {
+            let mut spec = team.lane_split_grid(lane, 8, 8);
+            spec.re_mut().fill(1.0);
+            spec.im_mut().fill(0.0);
+            team.submit_split_grid(lane, &plan, FftDirection::Forward, spec);
+        }
+        team.dispatch(2);
         team.collect();
-        let ptr = team.grid_result(0).unwrap().as_slice().as_ptr();
-        // The next wave's lane grid reuses the same allocation.
-        let grid = team.lane_grid(0, 8, 8);
-        assert_eq!(grid.as_slice().as_ptr(), ptr);
+        let before = team.split_grid_result(1).unwrap().clone();
+        // A one-lane wave must not transform lane 1's finished spectrum
+        // again.
+        let spec = team.lane_split_grid(0, 8, 8);
+        team.submit_split_grid(0, &plan, FftDirection::Forward, spec);
+        team.dispatch(1);
+        team.collect();
+        assert_eq!(team.split_grid_result(1), Some(&before));
     }
 
     #[test]
@@ -708,7 +626,7 @@ mod tests {
         let plan = Fft2d::new(8, 8);
         let spec = team.lane_split_grid(0, 8, 8);
         team.submit_split_grid(0, &plan, FftDirection::Forward, spec);
-        team.dispatch();
+        team.dispatch(1);
         team.collect();
         let result = team.split_grid_result(0).unwrap();
         let re_ptr = result.re().as_ptr();

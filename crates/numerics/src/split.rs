@@ -8,13 +8,12 @@
 //! `f64` slices with unit stride, which the compiler autovectorizes;
 //! the interleaved layout forces a 2-wide stride that defeats it.
 //!
-//! The split layout is **bit-compatible** with the interleaved one:
-//! the conversions here copy values without any arithmetic, so a
-//! round trip through [`SplitSpectrum::from_grid`] /
-//! [`SplitSpectrum::to_grid`] reproduces every input bit exactly.
-//! Interleaved [`Grid<Complex>`] remains the boundary format at cold
-//! edges (kernel construction, reference paths, checkpoints, I/O);
-//! see DESIGN.md §16 for the layout contract.
+//! This is the only spectral layout the engine computes in. Interleaved
+//! [`Grid<Complex>`] appears only at the boundaries: the conversions
+//! here ([`SplitSpectrum::from_grid`] / [`SplitSpectrum::to_grid`],
+//! pure copies that reproduce every input bit), kernels supplied as
+//! frequency-domain samples, inspection output and the reference
+//! oracles; see DESIGN.md §16 for the layout contract.
 //!
 //! Row-major addressing matches [`Grid`]: element `(i, j)` lives at
 //! linear index `j * width + i` in both planes.
@@ -74,23 +73,12 @@ impl SplitSpectrum {
     #[must_use]
     pub fn from_grid(grid: &Grid<Complex>) -> Self {
         let (width, height) = grid.dims();
-        let mut out = SplitSpectrum::zeros(width, height);
-        out.copy_from_grid(grid);
-        out
-    }
-
-    /// Overwrites both planes from an interleaved grid of the same
-    /// shape. Pure copy; panics on a shape mismatch.
-    pub fn copy_from_grid(&mut self, grid: &Grid<Complex>) {
-        assert_eq!(grid.dims(), (self.width, self.height), "shape mismatch");
-        for ((r, i), v) in self
-            .re
-            .iter_mut()
-            .zip(self.im.iter_mut())
-            .zip(grid.as_slice())
-        {
-            *r = v.re;
-            *i = v.im;
+        let (re, im) = grid.iter().map(|v| (v.re, v.im)).unzip();
+        SplitSpectrum {
+            width,
+            height,
+            re,
+            im,
         }
     }
 
@@ -98,23 +86,7 @@ impl SplitSpectrum {
     /// copy: bit-exact inverse of [`from_grid`](SplitSpectrum::from_grid).
     #[must_use]
     pub fn to_grid(&self) -> Grid<Complex> {
-        let mut out = Grid::zeros(self.width, self.height);
-        self.write_grid(&mut out);
-        out
-    }
-
-    /// Re-interleaves the planes into an existing grid of the same
-    /// shape. Pure copy; panics on a shape mismatch.
-    pub fn write_grid(&self, out: &mut Grid<Complex>) {
-        assert_eq!(out.dims(), (self.width, self.height), "shape mismatch");
-        for ((v, &r), &i) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.re.iter())
-            .zip(self.im.iter())
-        {
-            *v = Complex::new(r, i);
-        }
+        Grid::from_fn(self.width, self.height, |i, j| self.at(j * self.width + i))
     }
 
     /// `(width, height)`.
@@ -210,10 +182,7 @@ impl SplitSpectrum {
         self.im.copy_from_slice(&other.im);
     }
 
-    /// `self += other * weight`, plane-wise — the same per-component
-    /// arithmetic as the interleaved
-    /// `*a += b.scale(weight)` accumulation, so results are
-    /// bit-identical to the AoS path.
+    /// `self += other * weight`, plane-wise.
     pub fn accumulate(&mut self, other: &SplitSpectrum, weight: f64) {
         assert_eq!(other.dims(), self.dims(), "shape mismatch");
         for (a, &b) in self.re.iter_mut().zip(other.re.iter()) {

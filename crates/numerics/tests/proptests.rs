@@ -14,6 +14,30 @@ fn complex_vec(rng: &mut Rng64, len: usize) -> Vec<Complex> {
         .collect()
 }
 
+/// In-place 1-D transform of an interleaved vector through the split
+/// planes.
+fn process(fft: &Fft, data: &mut [Complex], direction: FftDirection) {
+    let mut re: Vec<f64> = data.iter().map(|c| c.re).collect();
+    let mut im: Vec<f64> = data.iter().map(|c| c.im).collect();
+    fft.process_split(&mut re, &mut im, direction, &mut Workspace::new());
+    for ((d, r), i) in data.iter_mut().zip(re).zip(im) {
+        *d = Complex::new(r, i);
+    }
+}
+
+/// Circular convolution `field ⊗ kernel` (kernel origin at `(0, 0)`)
+/// through the spectral engine on the inline team.
+fn convolve(field: &Grid<Complex>, kernel: &Grid<Complex>) -> Grid<Complex> {
+    let (w, h) = field.dims();
+    let conv = Convolver::new(w, h);
+    let (mut ws, mut team) = (Workspace::new(), SpectralTeam::inline());
+    let kspec = conv.kernel_spectrum(SplitSpectrum::from_grid(kernel), &mut ws, &mut team);
+    let fspec = conv.kernel_spectrum(SplitSpectrum::from_grid(field), &mut ws, &mut team);
+    let mut out = SplitSpectrum::zeros(w, h);
+    conv.convolve_spectrum_split_into(fspec.split(), &kspec, &mut out, &mut ws, &mut team);
+    out.to_grid()
+}
+
 /// inverse(forward(x)) == x for arbitrary data and lengths (both the
 /// radix-2 and Bluestein code paths).
 #[test]
@@ -24,8 +48,8 @@ fn fft_round_trip() {
         let data = complex_vec(&mut rng, len);
         let fft = Fft::new(len);
         let mut out = data.clone();
-        fft.process(&mut out, FftDirection::Forward);
-        fft.process(&mut out, FftDirection::Inverse);
+        process(&fft, &mut out, FftDirection::Forward);
+        process(&fft, &mut out, FftDirection::Inverse);
         for (a, b) in out.iter().zip(&data) {
             assert!((*a - *b).norm() < 1e-7, "case {case} len {len}");
         }
@@ -40,7 +64,7 @@ fn fft_matches_reference() {
         let data = complex_vec(&mut rng, 33);
         let fft = Fft::new(33);
         let mut out = data.clone();
-        fft.process(&mut out, FftDirection::Forward);
+        process(&fft, &mut out, FftDirection::Forward);
         let expect = dft_reference(&data, FftDirection::Forward);
         for (a, b) in out.iter().zip(&expect) {
             assert!((*a - *b).norm() < 1e-6, "case {case}: {a} vs {b}");
@@ -56,7 +80,7 @@ fn fft_parseval() {
         let data = complex_vec(&mut rng, 32);
         let time: f64 = data.iter().map(|z| z.norm_sqr()).sum();
         let mut out = data;
-        Fft::new(32).process(&mut out, FftDirection::Forward);
+        process(&Fft::new(32), &mut out, FftDirection::Forward);
         let freq: f64 = out.iter().map(|z| z.norm_sqr()).sum::<f64>() / 32.0;
         assert!((time - freq).abs() <= 1e-9 * time.max(1.0));
     }
@@ -75,10 +99,10 @@ fn fft_linearity() {
         let fft = Fft::new(len);
         let mut fa = a.clone();
         let mut fb = b.clone();
-        fft.process(&mut fa, FftDirection::Forward);
-        fft.process(&mut fb, FftDirection::Forward);
+        process(&fft, &mut fa, FftDirection::Forward);
+        process(&fft, &mut fb, FftDirection::Forward);
         let mut combined: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x + y.scale(c)).collect();
-        fft.process(&mut combined, FftDirection::Forward);
+        process(&fft, &mut combined, FftDirection::Forward);
         for (i, (got, (x, y))) in combined.iter().zip(fa.iter().zip(&fb)).enumerate() {
             let expect = *x + y.scale(c);
             assert!(
@@ -90,8 +114,8 @@ fn fft_linearity() {
 }
 
 /// The spectrum of a real-valued grid is Hermitian:
-/// `S(i, j) == conj(S((w-i) mod w, (h-j) mod h))`, on both the complex
-/// path and (by expansion) the half-spectrum path.
+/// `S(i, j) == conj(S((w-i) mod w, (h-j) mod h))`, checked on the
+/// expansion of the half-spectrum transform.
 #[test]
 fn real_input_spectrum_is_hermitian() {
     let mut rng = Rng64::new(0xF7_0009);
@@ -99,8 +123,7 @@ fn real_input_spectrum_is_hermitian() {
         let w = rng.range_usize(1, 14);
         let h = rng.range_usize(1, 14);
         let real = Grid::from_fn(w, h, |_, _| rng.range_f64(-5.0, 5.0));
-        let plan = Fft2d::new(w, h);
-        let spec = plan.forward_real(&real);
+        let spec = Convolver::new(w, h).forward_real(&real).to_grid();
         for j in 0..h {
             for i in 0..w {
                 let mirror = spec[((w - i) % w, (h - j) % h)].conj();
@@ -125,10 +148,10 @@ fn real_fft_round_trip() {
         let h = rng.range_usize(1, 20);
         let real = Grid::from_fn(w, h, |_, _| rng.range_f64(-5.0, 5.0));
         let plan = Fft2d::new(w, h);
-        let mut half = Grid::zeros(plan.half_width(), h);
-        plan.forward_real_into(&real, &mut half, &mut ws);
+        let mut half = SplitSpectrum::zeros(plan.half_width(), h);
+        plan.forward_real_split_into(&real, &mut half, &mut ws);
         let mut back = Grid::zeros(w, h);
-        plan.inverse_real_into(&mut half, &mut back, &mut ws);
+        plan.inverse_real_split_into(&mut half, &mut back, &mut ws);
         for (i, (a, b)) in back.iter().zip(real.iter()).enumerate() {
             assert!((a - b).abs() < 1e-10 * (w * h) as f64, "{w}x{h} pixel {i}");
         }
@@ -142,9 +165,8 @@ fn convolution_commutes() {
     for _ in 0..64 {
         let ga = Grid::from_vec(8, 8, complex_vec(&mut rng, 64)).unwrap();
         let gb = Grid::from_vec(8, 8, complex_vec(&mut rng, 64)).unwrap();
-        let conv = Convolver::new(8, 8);
-        let ab = conv.convolve(&ga, &conv.kernel_spectrum(&gb));
-        let ba = conv.convolve(&gb, &conv.kernel_spectrum(&ga));
+        let ab = convolve(&ga, &gb);
+        let ba = convolve(&gb, &ga);
         for (x, y) in ab.iter().zip(ba.iter()) {
             assert!((*x - *y).norm() < 1e-7);
         }
@@ -157,11 +179,9 @@ fn impulse_is_identity() {
     let mut rng = Rng64::new(0xF7_0005);
     for _ in 0..64 {
         let ga = Grid::from_vec(8, 8, complex_vec(&mut rng, 64)).unwrap();
-        let conv = Convolver::new(8, 8);
         let mut impulse = Grid::<Complex>::zeros(8, 8);
         impulse[(4, 4)] = Complex::ONE;
-        let spec = conv.kernel_spectrum_centered(&impulse);
-        let out = conv.convolve(&ga, &spec);
+        let out = convolve(&ga, &impulse.shift_origin(4, 4));
         for (x, y) in out.iter().zip(ga.iter()) {
             assert!((*x - *y).norm() < 1e-8);
         }
@@ -175,8 +195,7 @@ fn convolution_sum_rule() {
     for _ in 0..64 {
         let ga = Grid::from_vec(4, 4, complex_vec(&mut rng, 16)).unwrap();
         let gb = Grid::from_vec(4, 4, complex_vec(&mut rng, 16)).unwrap();
-        let conv = Convolver::new(4, 4);
-        let out = conv.convolve(&ga, &conv.kernel_spectrum(&gb));
+        let out = convolve(&ga, &gb);
         let sum_out: Complex = out.iter().sum();
         let expect = ga.iter().sum::<Complex>() * gb.iter().sum::<Complex>();
         assert!((sum_out - expect).norm() < 1e-6 * (1.0 + expect.norm()));

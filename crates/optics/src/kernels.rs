@@ -18,7 +18,8 @@
 
 use crate::config::{OpticsConfig, ProcessCondition};
 use mosaic_numerics::{
-    Complex, Convolver, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace,
+    Complex, Convolver, Fft2d, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum,
+    Workspace,
 };
 use std::f64::consts::PI;
 
@@ -87,21 +88,29 @@ impl KernelSet {
             .map(|p| {
                 let shift_x = p.sx * cutoff;
                 let shift_y = p.sy * cutoff;
-                let spectrum = Grid::from_fn(w, h, |i, j| {
-                    let gx = fx[i] + shift_x;
-                    let gy = fy[j] + shift_y;
-                    let g2 = gx * gx + gy * gy;
-                    if g2 <= cutoff * cutoff {
-                        // Paraxial defocus aberration phase.
-                        let phase = -PI * config.wavelength_nm * condition.defocus_nm * g2;
-                        Complex::cis(phase)
-                    } else {
-                        Complex::ZERO
+                // Written straight into split planes, row-major, so no
+                // interleaved grid is ever materialized per kernel.
+                let mut re = Vec::with_capacity(w * h);
+                let mut im = Vec::with_capacity(w * h);
+                for &fyj in &fy {
+                    for &fxi in &fx {
+                        let gx = fxi + shift_x;
+                        let gy = fyj + shift_y;
+                        let g2 = gx * gx + gy * gy;
+                        let value = if g2 <= cutoff * cutoff {
+                            // Paraxial defocus aberration phase.
+                            let phase = -PI * config.wavelength_nm * condition.defocus_nm * g2;
+                            Complex::cis(phase)
+                        } else {
+                            Complex::ZERO
+                        };
+                        re.push(value.re);
+                        im.push(value.im);
                     }
-                });
+                }
                 CoherentKernel {
                     weight: p.weight,
-                    spectrum: KernelSpectrum::from_grid(spectrum),
+                    spectrum: KernelSpectrum::from_split(SplitSpectrum::from_parts(w, h, re, im)),
                 }
             })
             .collect();
@@ -142,7 +151,7 @@ impl KernelSet {
     }
 
     /// Computes the aerial image `dose · Σ_k w_k |M ⊗ h_k|²` from a
-    /// precomputed mask spectrum.
+    /// precomputed mask spectrum, on the calling thread.
     ///
     /// # Panics
     ///
@@ -150,141 +159,28 @@ impl KernelSet {
     pub fn aerial_image_from_spectrum(
         &self,
         convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
+        mask_spectrum: &SplitSpectrum,
     ) -> Grid<f64> {
         let mut intensity = Grid::<f64>::zeros(self.width, self.height);
         let mut ws = Workspace::new();
-        self.aerial_image_accumulate_into(convolver, mask_spectrum, &mut intensity, &mut ws);
+        self.aerial_image_accumulate_split(
+            convolver,
+            mask_spectrum,
+            &mut intensity,
+            &mut ws,
+            &mut SpectralTeam::inline(),
+        );
         intensity
     }
 
-    /// Allocation-free twin of
-    /// [`aerial_image_from_spectrum`](Self::aerial_image_from_spectrum):
-    /// overwrites `intensity` with `dose · Σ_k w_k |M ⊗ h_k|²`, fusing
-    /// the per-kernel convolve / magnitude / weight-accumulate passes
-    /// through one reused scratch field. Bit-identical to the allocating
-    /// path.
+    /// Overwrites `intensity` with `dose · Σ_k w_k |M ⊗ h_k|²`.
     ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_accumulate_into(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        intensity.fill(0.0);
-        let mut field = ws.take_complex_grid(self.width, self.height);
-        for k in &self.kernels {
-            convolver.convolve_spectrum_into(mask_spectrum, &k.spectrum, &mut field, ws);
-            let scale = k.weight * self.condition.dose;
-            for (acc, e) in intensity.iter_mut().zip(field.iter()) {
-                *acc += scale * e.norm_sqr();
-            }
-        }
-        ws.give_complex_grid(field);
-    }
-
-    /// Concurrent twin of
-    /// [`aerial_image_accumulate_into`](Self::aerial_image_accumulate_into):
-    /// the independent per-kernel inverse transforms `E_k = M ⊗ h_k` are
-    /// fanned out over `team`'s workers in waves of `workers + 1` (the
-    /// calling thread takes one kernel per wave), while the intensity
-    /// accumulate stays on the calling thread in serial kernel order —
-    /// the fixed-order reduction that keeps results **bit-identical** to
-    /// the serial path at every worker count (DESIGN.md §14).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_accumulate_par(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let workers = team.workers();
-        if workers == 0 {
-            self.aerial_image_accumulate_into(convolver, mask_spectrum, intensity, ws);
-            return;
-        }
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        intensity.fill(0.0);
-        let mut field = ws.take_complex_grid(self.width, self.height);
-        let dose = self.condition.dose;
-        let mut start = 0;
-        while start < self.kernels.len() {
-            let end = (start + workers + 1).min(self.kernels.len());
-            for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                let mut grid = team.lane_grid(lane, self.width, self.height);
-                let (br, bi) = k.spectrum.split().planes();
-                for (((o, &a), &kr), &ki) in grid
-                    .iter_mut()
-                    .zip(mask_spectrum.iter())
-                    .zip(br.iter())
-                    .zip(bi.iter())
-                {
-                    *o = a * Complex::new(kr, ki);
-                }
-                team.submit_grid(lane, convolver.plan(), FftDirection::Inverse, grid);
-            }
-            team.dispatch();
-            // The calling thread transforms its own kernel while the
-            // workers run theirs; the 1-D transforms are the unchanged
-            // serial code on both sides.
-            convolver.convolve_spectrum_into(
-                mask_spectrum,
-                &self.kernels[start].spectrum,
-                &mut field,
-                ws,
-            );
-            team.collect();
-            let scale = self.kernels[start].weight * dose;
-            for (acc, e) in intensity.iter_mut().zip(field.iter()) {
-                *acc += scale * e.norm_sqr();
-            }
-            for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                if let Some(g) = team.grid_result(lane) {
-                    let scale = k.weight * dose;
-                    for (acc, e) in intensity.iter_mut().zip(g.iter()) {
-                        *acc += scale * e.norm_sqr();
-                    }
-                }
-            }
-            start = end;
-        }
-        ws.give_complex_grid(field);
-    }
-
-    /// Split-plane twin of
-    /// [`aerial_image_accumulate_into`](Self::aerial_image_accumulate_into):
-    /// consumes a mask spectrum in structure-of-arrays layout and walks
-    /// unit-stride `f64` planes through the Hadamard, inverse-FFT and
-    /// |E|² accumulate passes. Bit-identical to the interleaved path
-    /// (DESIGN.md §16).
+    /// The independent per-kernel transforms `E_k = M ⊗ h_k` go out in
+    /// waves of `workers + 1`: one per worker of `team`, one on the
+    /// calling thread. The |E|² accumulate stays on the calling thread in
+    /// kernel order — the fixed-order reduction that keeps results the
+    /// same at every team size (DESIGN.md §14). On the inline team every
+    /// wave is one kernel on the calling thread.
     ///
     /// # Panics
     ///
@@ -295,51 +191,8 @@ impl KernelSet {
         mask_spectrum: &SplitSpectrum,
         intensity: &mut Grid<f64>,
         ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        intensity.fill(0.0);
-        let mut field = ws.take_split(self.width, self.height);
-        for k in &self.kernels {
-            convolver.convolve_spectrum_split_into(mask_spectrum, &k.spectrum, &mut field, ws);
-            accumulate_intensity_split(intensity, &field, k.weight * self.condition.dose);
-        }
-        ws.give_split(field);
-    }
-
-    /// Concurrent twin of
-    /// [`aerial_image_accumulate_split`](Self::aerial_image_accumulate_split):
-    /// same wave structure as
-    /// [`aerial_image_accumulate_par`](Self::aerial_image_accumulate_par)
-    /// — per-kernel inverse transforms fan out over `team`'s workers,
-    /// the |E|² accumulate stays on the calling thread in serial kernel
-    /// order. Bit-identical to the serial split path at every worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_accumulate_split_par(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &SplitSpectrum,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
-        let workers = team.workers();
-        if workers == 0 {
-            self.aerial_image_accumulate_split(convolver, mask_spectrum, intensity, ws);
-            return;
-        }
         assert_eq!(
             mask_spectrum.dims(),
             (self.width, self.height),
@@ -351,6 +204,10 @@ impl KernelSet {
             "intensity shape mismatch"
         );
         intensity.fill(0.0);
+        let workers = team.workers();
+        // The calling thread's own kernel of each wave runs whole on this
+        // thread; the team's lanes are busy with the rest of the wave.
+        let mut inline = SpectralTeam::inline();
         let mut field = ws.take_split(self.width, self.height);
         let dose = self.condition.dose;
         let (ar, ai) = mask_spectrum.planes();
@@ -367,18 +224,16 @@ impl KernelSet {
                 }
                 team.submit_split_grid(lane, convolver.plan(), FftDirection::Inverse, spec);
             }
-            team.dispatch();
-            // The calling thread transforms its own kernel while the
-            // workers run theirs; the split transforms are the unchanged
-            // serial code on both sides.
+            team.dispatch(end - start - 1);
             convolver.convolve_spectrum_split_into(
                 mask_spectrum,
                 &self.kernels[start].spectrum,
                 &mut field,
                 ws,
+                &mut inline,
             );
-            team.collect();
             accumulate_intensity_split(intensity, &field, self.kernels[start].weight * dose);
+            team.collect();
             for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
                 if let Some(spec) = team.split_grid_result(lane) {
                     accumulate_intensity_split(intensity, spec, k.weight * dose);
@@ -389,13 +244,11 @@ impl KernelSet {
         ws.give_split(field);
     }
 
-    /// Split-plane twin of
-    /// [`aerial_image_with_fields_into`](Self::aerial_image_with_fields_into):
-    /// overwrites `intensity` and refills `fields` with every coherent
-    /// field `E_k = M ⊗ h_k` in structure-of-arrays layout, reusing
-    /// spectra already in `fields` when their shape matches (and drawing
-    /// any missing ones from `ws`). Bit-identical to the interleaved
-    /// path.
+    /// Overwrites `intensity` and refills `fields` with every coherent
+    /// field `E_k = M ⊗ h_k` — the per-kernel gradient (Eq. (14)) needs
+    /// them — reusing spectra already in `fields` when their shape
+    /// matches (and drawing any missing ones from `ws`). Each transform
+    /// is banded across `team`.
     ///
     /// # Panics
     ///
@@ -407,6 +260,7 @@ impl KernelSet {
         intensity: &mut Grid<f64>,
         fields: &mut Vec<SplitSpectrum>,
         ws: &mut Workspace,
+        team: &mut SpectralTeam,
     ) {
         assert_eq!(
             mask_spectrum.dims(),
@@ -429,81 +283,9 @@ impl KernelSet {
         }
         intensity.fill(0.0);
         for (k, field) in self.kernels.iter().zip(fields.iter_mut()) {
-            convolver.convolve_spectrum_split_into(mask_spectrum, &k.spectrum, field, ws);
+            convolver.convolve_spectrum_split_into(mask_spectrum, &k.spectrum, field, ws, team);
             accumulate_intensity_split(intensity, field, k.weight * self.condition.dose);
         }
-    }
-
-    /// Workspace-pooled variant of
-    /// [`aerial_image_with_fields`](Self::aerial_image_with_fields):
-    /// overwrites `intensity` and refills `fields` with every coherent
-    /// field `E_k = M ⊗ h_k`, reusing the grids already in `fields` when
-    /// their shape matches (and drawing any missing ones from `ws`).
-    /// Callers give the field grids back to `ws` when done — or simply
-    /// keep the `Vec` alive across iterations, which is what the
-    /// per-kernel gradient loop does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_with_fields_into(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-        intensity: &mut Grid<f64>,
-        fields: &mut Vec<Grid<Complex>>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        fields.retain(|f| f.dims() == (self.width, self.height));
-        while fields.len() < self.kernels.len() {
-            fields.push(ws.take_complex_grid(self.width, self.height));
-        }
-        while fields.len() > self.kernels.len() {
-            if let Some(extra) = fields.pop() {
-                ws.give_complex_grid(extra);
-            }
-        }
-        intensity.fill(0.0);
-        for (k, field) in self.kernels.iter().zip(fields.iter_mut()) {
-            convolver.convolve_spectrum_into(mask_spectrum, &k.spectrum, field, ws);
-            let scale = k.weight * self.condition.dose;
-            for (acc, e) in intensity.iter_mut().zip(field.iter()) {
-                *acc += scale * e.norm_sqr();
-            }
-        }
-    }
-
-    /// Like [`aerial_image_from_spectrum`](Self::aerial_image_from_spectrum)
-    /// but also returns every coherent field `E_k = M ⊗ h_k`.
-    ///
-    /// The per-kernel gradient (Eq. (14)) needs these fields, so the
-    /// optimizer asks for them once and reuses them.
-    pub fn aerial_image_with_fields(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-    ) -> (Grid<f64>, Vec<Grid<Complex>>) {
-        let mut intensity = Grid::<f64>::zeros(self.width, self.height);
-        let mut fields = Vec::with_capacity(self.kernels.len());
-        let mut ws = Workspace::new();
-        self.aerial_image_with_fields_into(
-            convolver,
-            mask_spectrum,
-            &mut intensity,
-            &mut fields,
-            &mut ws,
-        );
-        (intensity, fields)
     }
 
     /// The spatial-domain kernel `h_k`, centered on the grid — for
@@ -513,18 +295,21 @@ impl KernelSet {
     ///
     /// Panics if `index` is out of range.
     pub fn spatial_kernel(&self, index: usize) -> Grid<Complex> {
-        let k = &self.kernels[index];
-        let mut g = k.spectrum.to_grid();
-        let plan = mosaic_numerics::Fft2d::new(self.width, self.height);
-        plan.process(&mut g, FftDirection::Inverse);
+        let mut field = self.kernels[index].spectrum.split().clone();
+        Fft2d::new(self.width, self.height).process_split(
+            &mut field,
+            FftDirection::Inverse,
+            &mut Workspace::new(),
+            &mut SpectralTeam::inline(),
+        );
         // Move the origin to the grid center for viewing.
-        g.shift_origin(self.width / 2, self.height / 2)
+        field
+            .to_grid()
+            .shift_origin(self.width / 2, self.height / 2)
     }
 }
 
-/// `intensity += scale · (re² + im²)`, plane-wise — the same
-/// per-component arithmetic as the interleaved `scale * e.norm_sqr()`
-/// accumulate, so bits match the AoS path.
+/// `intensity += scale · (re² + im²)`, plane-wise.
 fn accumulate_intensity_split(intensity: &mut Grid<f64>, field: &SplitSpectrum, scale: f64) {
     let (fr, fi) = field.planes();
     for ((acc, &r), &i) in intensity.iter_mut().zip(fr.iter()).zip(fi.iter()) {
@@ -672,11 +457,11 @@ mod tests {
         let combined = set.combined();
         let mut manual = Grid::<Complex>::zeros(64, 64);
         for k in set.kernels() {
-            for (m, s) in manual.iter_mut().zip(k.spectrum.to_grid().iter()) {
+            for (m, s) in manual.iter_mut().zip(k.spectrum.split().to_grid().iter()) {
                 *m += s.scale(k.weight);
             }
         }
-        for (a, b) in combined.to_grid().iter().zip(manual.iter()) {
+        for (a, b) in combined.split().to_grid().iter().zip(manual.iter()) {
             assert!((*a - *b).norm() < 1e-12);
         }
     }
@@ -704,19 +489,28 @@ mod tests {
         let conv = Convolver::new(64, 64);
         let mask = Grid::from_fn(64, 64, |x, _| if x > 20 && x < 44 { 1.0 } else { 0.0 });
         let spectrum = conv.forward_real(&mask);
-        let (intensity, fields) = set.aerial_image_with_fields(&conv, &spectrum);
+        let mut intensity = Grid::zeros(64, 64);
+        let mut fields = Vec::new();
+        set.aerial_image_with_fields_split(
+            &conv,
+            &spectrum,
+            &mut intensity,
+            &mut fields,
+            &mut Workspace::new(),
+            &mut SpectralTeam::inline(),
+        );
         assert_eq!(fields.len(), set.kernels().len());
         let manual: f64 = set
             .kernels()
             .iter()
             .zip(&fields)
-            .map(|(k, f)| k.weight * 1.02 * f[(32, 32)].norm_sqr())
+            .map(|(k, f)| k.weight * 1.02 * f.at(32 * 64 + 32).norm_sqr())
             .sum();
         assert!((intensity[(32, 32)] - manual).abs() < 1e-12);
     }
 
     #[test]
-    fn split_aerial_image_is_bit_identical_to_interleaved() {
+    fn aerial_image_is_bit_identical_across_team_sizes() {
         let config = small_config();
         let set = KernelSet::build(&config, ProcessCondition::new(10.0, 1.02)).unwrap();
         let conv = Convolver::new(64, 64);
@@ -725,41 +519,33 @@ mod tests {
             64,
             |x, y| if (x / 8 + y / 8) % 2 == 0 { 1.0 } else { 0.0 },
         );
+        let spectrum = conv.forward_real(&mask);
+        let inline = set.aerial_image_from_spectrum(&conv, &spectrum);
         let mut ws = Workspace::new();
-        let mut aos_spec = Grid::zeros(64, 64);
-        conv.forward_real_into(&mask, &mut aos_spec, &mut ws);
-        let mut aos = Grid::zeros(64, 64);
-        set.aerial_image_accumulate_into(&conv, &aos_spec, &mut aos, &mut ws);
-
-        let mut split_spec = SplitSpectrum::zeros(64, 64);
-        conv.forward_real_split_into(&mask, &mut split_spec, &mut ws);
-        let mut serial = Grid::zeros(64, 64);
-        set.aerial_image_accumulate_split(&conv, &split_spec, &mut serial, &mut ws);
-        for (i, (a, b)) in serial.iter().zip(aos.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "serial split pixel {i}");
-        }
-
-        for workers in [1usize, 2] {
+        for workers in [1usize, 2, 3] {
             let mut team = SpectralTeam::new(workers);
-            let mut par = Grid::zeros(64, 64);
-            set.aerial_image_accumulate_split_par(&conv, &split_spec, &mut par, &mut ws, &mut team);
-            for (i, (a, b)) in par.iter().zip(aos.iter()).enumerate() {
+            let mut banded = Grid::zeros(64, 64);
+            set.aerial_image_accumulate_split(&conv, &spectrum, &mut banded, &mut ws, &mut team);
+            for (i, (a, b)) in banded.iter().zip(inline.iter()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "workers={workers} pixel {i}");
             }
-        }
-
-        let mut fields = Vec::new();
-        let mut with_fields = Grid::zeros(64, 64);
-        set.aerial_image_with_fields_split(
-            &conv,
-            &split_spec,
-            &mut with_fields,
-            &mut fields,
-            &mut ws,
-        );
-        assert_eq!(fields.len(), set.kernels().len());
-        for (i, (a, b)) in with_fields.iter().zip(aos.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "with-fields pixel {i}");
+            let mut fields = Vec::new();
+            let mut with_fields = Grid::zeros(64, 64);
+            set.aerial_image_with_fields_split(
+                &conv,
+                &spectrum,
+                &mut with_fields,
+                &mut fields,
+                &mut ws,
+                &mut team,
+            );
+            for (i, (a, b)) in with_fields.iter().zip(inline.iter()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "with-fields workers={workers} pixel {i}"
+                );
+            }
         }
     }
 }

@@ -6,7 +6,7 @@ use crate::error::OpticsError;
 use crate::kernels::KernelSet;
 use crate::resist::ResistModel;
 use crate::source::SourceShape;
-use mosaic_numerics::{Complex, Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
+use mosaic_numerics::{Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
 use std::sync::Arc;
 
 /// A hashable identity for a simulator configuration: everything that
@@ -198,49 +198,16 @@ impl LithoSimulator {
         self.banks[index].as_ref()
     }
 
-    /// Forward-transforms a mask once for reuse across conditions/kernels.
-    pub fn mask_spectrum(&self, mask: &Grid<f64>) -> Grid<Complex> {
+    /// Forward-transforms a mask once for reuse across conditions/kernels
+    /// (allocating, on the calling thread).
+    pub fn mask_spectrum(&self, mask: &Grid<f64>) -> SplitSpectrum {
         self.convolver.forward_real(mask)
     }
 
-    /// Allocation-free twin of [`mask_spectrum`](Self::mask_spectrum):
-    /// overwrites `out` with the mask's full spectrum through the
-    /// Hermitian half-spectrum fast path. Same numerics as the
-    /// allocating call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid.
-    pub fn mask_spectrum_into(
-        &self,
-        mask: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-    ) {
-        self.convolver.forward_real_into(mask, out, ws);
-    }
-
-    /// Concurrent twin of [`mask_spectrum_into`](Self::mask_spectrum_into):
-    /// the forward transform's column pass is banded across `team`'s
-    /// workers (DESIGN.md §14). Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid.
-    pub fn mask_spectrum_par(
-        &self,
-        mask: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.convolver.forward_real_par(mask, out, ws, team);
-    }
-
-    /// Split-plane twin of [`mask_spectrum_into`](Self::mask_spectrum_into):
-    /// the mask spectrum lands directly in structure-of-arrays layout —
-    /// the optimizer hot loop's entry into the split spectral engine
-    /// (DESIGN.md §16). Bit-identical to the interleaved path.
+    /// Overwrites `out` with the mask's full spectrum through the
+    /// Hermitian half-spectrum transform, its column pass banded across
+    /// `team` — the optimizer hot loop's entry into the spectral engine
+    /// (DESIGN.md §16).
     ///
     /// # Panics
     ///
@@ -250,29 +217,14 @@ impl LithoSimulator {
         mask: &Grid<f64>,
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
-    ) {
-        self.convolver.forward_real_split_into(mask, out, ws);
-    }
-
-    /// Concurrent twin of [`mask_spectrum_split`](Self::mask_spectrum_split):
-    /// the forward transform's column pass is banded across `team`'s
-    /// workers. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid.
-    pub fn mask_spectrum_split_par(
-        &self,
-        mask: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
-        self.convolver.forward_real_split_par(mask, out, ws, team);
+        self.convolver.forward_real_split_into(mask, out, ws, team);
     }
 
-    /// Split-plane twin of [`aerial_image_into`](Self::aerial_image_into).
-    /// Bit-identical to the interleaved path.
+    /// Overwrites `intensity` with the aerial image under condition
+    /// `index`, fanning the per-kernel transforms out over `team` with a
+    /// fixed-order accumulate on the calling thread.
     ///
     /// # Panics
     ///
@@ -284,87 +236,14 @@ impl LithoSimulator {
         index: usize,
         intensity: &mut Grid<f64>,
         ws: &mut Workspace,
+        team: &mut SpectralTeam,
     ) {
         self.banks[index].aerial_image_accumulate_split(
             &self.convolver,
             mask_spectrum,
             intensity,
             ws,
-        );
-    }
-
-    /// Concurrent twin of [`aerial_image_split`](Self::aerial_image_split):
-    /// fans the per-kernel transforms out over `team` with a fixed-order
-    /// serial accumulate. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid or the index is
-    /// out of range.
-    pub fn aerial_image_split_par(
-        &self,
-        mask_spectrum: &SplitSpectrum,
-        index: usize,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.banks[index].aerial_image_accumulate_split_par(
-            &self.convolver,
-            mask_spectrum,
-            intensity,
-            ws,
             team,
-        );
-    }
-
-    /// Concurrent twin of [`aerial_image_into`](Self::aerial_image_into):
-    /// fans the per-kernel transforms out over `team` with a fixed-order
-    /// serial accumulate (DESIGN.md §14). Bit-identical at every worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid or the index is
-    /// out of range.
-    pub fn aerial_image_par(
-        &self,
-        mask_spectrum: &Grid<Complex>,
-        index: usize,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.banks[index].aerial_image_accumulate_par(
-            &self.convolver,
-            mask_spectrum,
-            intensity,
-            ws,
-            team,
-        );
-    }
-
-    /// Allocation-free twin of
-    /// [`aerial_image_from_spectrum`](Self::aerial_image_from_spectrum):
-    /// overwrites `intensity` under condition `index` using pooled
-    /// scratch. Bit-identical to the allocating call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid or the index is
-    /// out of range.
-    pub fn aerial_image_into(
-        &self,
-        mask_spectrum: &Grid<Complex>,
-        index: usize,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        self.banks[index].aerial_image_accumulate_into(
-            &self.convolver,
-            mask_spectrum,
-            intensity,
-            ws,
         );
     }
 
@@ -380,9 +259,14 @@ impl LithoSimulator {
     }
 
     /// Aerial image from a precomputed mask spectrum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spectrum shape differs from the simulation grid or
+    /// the index is out of range.
     pub fn aerial_image_from_spectrum(
         &self,
-        mask_spectrum: &Grid<Complex>,
+        mask_spectrum: &SplitSpectrum,
         index: usize,
     ) -> Grid<f64> {
         self.banks[index].aerial_image_from_spectrum(&self.convolver, mask_spectrum)

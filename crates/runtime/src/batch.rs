@@ -27,8 +27,8 @@ pub struct BatchConfig {
     /// Worker threads (clamped to ≥ 1).
     pub workers: usize,
     /// Intra-job evaluation threads per worker (clamped to ≥ 1; see
-    /// `ExecutionSession::threads`). `1` runs the exact serial path;
-    /// any value yields bit-identical results. The CLI clamps
+    /// `ExecutionSession::threads`). `1` runs on the job's own thread
+    /// (an inline team); any value yields bit-identical results. The CLI clamps
     /// `workers × threads` to the host's cores
     /// ([`crate::scheduler::clamp_threads`]).
     pub threads: usize,

@@ -226,7 +226,7 @@ pub struct JobContext<'a> {
     /// boundary and blocks further checkpoint writes.
     pub lease: Option<&'a LeaseHandle>,
     /// Intra-job evaluation threads handed to the session (see
-    /// `ExecutionSession::threads`). `1` (the serial path) everywhere
+    /// `ExecutionSession::threads`). `1` (the inline team) everywhere
     /// except when [`crate::batch::BatchConfig::threads`] raises it;
     /// results are bit-identical at every value.
     pub threads: usize,

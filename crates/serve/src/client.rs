@@ -7,7 +7,7 @@
 //! tests assert on them), which keeps it as dependency-free as the
 //! server.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A connected protocol client.
@@ -25,6 +25,9 @@ impl Client {
     /// Propagates connection and socket-clone failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Request lines are small and each waits on its response: send
+        // them at once rather than letting Nagle hold them.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -38,8 +41,7 @@ impl Client {
     ///
     /// Propagates socket write failures.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        crate::handler::write_line(&mut self.writer, line)
     }
 
     /// Reads one response line; `None` on a cleanly closed connection.

@@ -106,9 +106,13 @@ impl LineReader {
     }
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+/// Writes `line` and its terminator in one `write`, so a response never
+/// leaves a lone `\n` segment waiting on the peer's delayed ACK.
+pub(crate) fn write_line(stream: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    stream.write_all(&buf)
 }
 
 /// Serves one client until it disconnects, abuses the protocol
@@ -116,6 +120,9 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
 /// the connection permit frees), or the server stops.
 pub(crate) fn handle_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
     let _ = stream.set_read_timeout(Some(POLL));
+    // Responses are small request/response lines: send each at once
+    // rather than letting Nagle hold it for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };

@@ -165,6 +165,27 @@ fn concurrent_watchers_see_identical_lossless_streams() {
     server.stop(true);
 }
 
+/// Every request and response line goes out as one segment with Nagle
+/// off, so a round trip never waits on a delayed ACK (~40 ms each on
+/// Linux loopback): 50 sequential pings on one connection stay far
+/// under a second.
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    let server = tiny_server(1, 2);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let start = std::time::Instant::now();
+    for i in 0..50 {
+        let reply = client.request("ping").expect("ping");
+        assert!(reply.contains("pong"), "ping {i}: {reply}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 ping round trips took {elapsed:?}"
+    );
+    server.stop(true);
+}
+
 #[test]
 fn connection_gate_queues_the_extra_client_until_a_slot_frees() {
     let server = tiny_server(1, 2);
