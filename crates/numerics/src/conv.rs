@@ -17,6 +17,7 @@
 //! [`Grid::embed_centered`](crate::grid::Grid::embed_centered)) so
 //! wrap-around never reaches real geometry.
 
+use crate::band::Band;
 use crate::complex::Complex;
 use crate::fft::{Fft2d, FftDirection};
 use crate::grid::Grid;
@@ -129,6 +130,23 @@ impl Convolver {
         }
     }
 
+    /// The same convolver limited to `band`: every transform, product
+    /// and fold computes only inside the band box (see [`Fft2d`] for the
+    /// projection contract). Kernels whose spectra are +0 outside the
+    /// box convolve and correlate to the same nonzero bits as on the full
+    /// band. Moves the plan; no allocation.
+    #[must_use]
+    pub fn bandlimited(self, band: Band) -> Self {
+        Convolver {
+            plan: self.plan.bandlimited(band),
+        }
+    }
+
+    /// The frequency band this convolver computes in.
+    pub fn band(&self) -> Band {
+        self.plan.band()
+    }
+
     /// Expected grid width.
     pub fn width(&self) -> usize {
         self.plan.width()
@@ -146,7 +164,8 @@ impl Convolver {
     }
 
     /// Forward-transforms a spatial kernel whose origin is at index
-    /// `(0, 0)` into a reusable [`KernelSpectrum`].
+    /// `(0, 0)` into a reusable [`KernelSpectrum`] (+0 outside the band
+    /// of a band-limited convolver).
     ///
     /// # Panics
     ///
@@ -200,8 +219,9 @@ impl Convolver {
 
     /// Writes `field_spectrum · kernel` into `out` and inverse-transforms
     /// it in place: `out = F⁻¹(field_spectrum · kernel)`, the convolution
-    /// of the field with the kernel. The Hadamard product walks four
-    /// unit-stride `f64` planes; the transform is banded across `team`.
+    /// of the field with the kernel. The Hadamard product
+    /// ([`hadamard_split`](Self::hadamard_split)) walks the band box; the
+    /// transform is banded across `team`.
     ///
     /// # Panics
     ///
@@ -281,8 +301,16 @@ impl Convolver {
     }
 
     /// `out = field_spectrum · kernel`, plane-wise
-    /// (`re = ar·br − ai·bi`, `im = ar·bi + ai·br`).
-    fn hadamard_split(
+    /// (`re = ar·br − ai·bi`, `im = ar·bi + ai·br`), over the band box
+    /// only: `out` keeps whatever it held outside the box, which every
+    /// inverse transform of this convolver ignores. This is the one
+    /// Hadamard product of the engine; the per-kernel SOCS fan-out fills
+    /// its worker lanes with it too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn hadamard_split(
         &self,
         field_spectrum: &SplitSpectrum,
         kernel: &KernelSpectrum,
@@ -294,17 +322,25 @@ impl Convolver {
             "field/kernel spectrum shape mismatch"
         );
         assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
+        let (w, h) = out.dims();
         let (ar, ai) = field_spectrum.planes();
         let (br, bi) = kernel.spectrum.planes();
         let (or_, oi) = out.planes_mut();
-        for idx in 0..ar.len() {
-            or_[idx] = ar[idx] * br[idx] - ai[idx] * bi[idx];
-            oi[idx] = ar[idx] * bi[idx] + ai[idx] * br[idx];
-        }
+        self.plan.band().for_each_span(w, h, |span| {
+            // Equal-length reslices keep the loop free of bounds checks.
+            let (ar, ai) = (&ar[span.clone()], &ai[span.clone()]);
+            let (br, bi) = (&br[span.clone()], &bi[span.clone()]);
+            let (or_, oi) = (&mut or_[span.clone()], &mut oi[span]);
+            for k in 0..or_.len() {
+                or_[k] = ar[k] * br[k] - ai[k] * bi[k];
+                oi[k] = ar[k] * bi[k] + ai[k] * br[k];
+            }
+        });
     }
 
     /// Writes the Hermitian part of `field_spectrum · conj(kernel)` into
-    /// the `w/2 + 1`-column `half` spectrum.
+    /// the band box of the `w/2 + 1`-column `half` spectrum (the rest is
+    /// left as it was; the inverse real transform ignores it).
     fn fold_hermitian_split(
         &self,
         field_spectrum: &SplitSpectrum,
@@ -322,9 +358,11 @@ impl Convolver {
         let (fr, fi) = field_spectrum.planes();
         let (kr, ki) = kernel.spectrum.planes();
         let (hr, hi) = half.planes_mut();
-        for j in 0..h {
+        let band = self.plan.band();
+        let cols = band.half_cols(w)[0].clone();
+        for j in band.rows(h).into_iter().flatten() {
             let jm = (h - j) % h;
-            for i in 0..hw {
+            for i in cols.clone() {
                 let im = (w - i) % w;
                 let a = j * w + i;
                 let b = jm * w + im;

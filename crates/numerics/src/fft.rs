@@ -22,14 +22,18 @@
 //! cutting the row-transform work roughly in half by packing even/odd
 //! samples into one half-length complex FFT.
 //!
+//! Every 2-D plan carries a frequency [`Band`] (DESIGN.md §16): the
+//! full band is the plain transform, and a band-limited plan transforms
+//! only the 1-D lines that meet the band box, as a projection onto it.
+//!
 //! Each 2-D operation has exactly one implementation, banded over a
-//! [`SpectralTeam`] (DESIGN.md §14): contiguous bands of independent 1-D
-//! transforms go to the team's workers while the calling thread takes
-//! band 0. A team with no workers ([`SpectralTeam::inline`]) runs the
-//! same code with a single band on the calling thread — that is the
-//! serial path. Bands are a pure function of the worker count and only
-//! the caller merges them, so results are **bit-identical** at every
-//! team size.
+//! [`SpectralTeam`] (DESIGN.md §14): contiguous shares of independent
+//! 1-D transforms go to the team's workers while the calling thread
+//! takes share 0. A team with no workers ([`SpectralTeam::inline`]) runs
+//! the same code with a single share on the calling thread — that is
+//! the serial path. Shares are a pure function of the worker count and
+//! only the caller merges them, so results are **bit-identical** at
+//! every team size.
 //!
 //! ```
 //! use mosaic_numerics::{Fft, FftDirection, Workspace};
@@ -46,12 +50,14 @@
 //! }
 //! ```
 
+use crate::band::Band;
 use crate::complex::Complex;
 use crate::grid::Grid;
 use crate::pool::SpectralTeam;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
 use std::f64::consts::PI;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Transform direction.
@@ -455,25 +461,35 @@ fn split_butterflies(
 /// destination columns.
 const TRANSPOSE_TILE: usize = 32;
 
-/// Blocked out-of-place transpose: `dst[x*h + y] = src[y*w + x]` for a
-/// row-major `w × h` source. Calling it again with `w`/`h` swapped
-/// inverts it.
-fn transpose_into(src: &[f64], dst: &mut [f64], w: usize, h: usize) {
-    debug_assert_eq!(src.len(), w * h);
-    debug_assert_eq!(dst.len(), w * h);
-    let mut y0 = 0;
-    while y0 < h {
-        let y1 = (y0 + TRANSPOSE_TILE).min(h);
-        let mut x0 = 0;
-        while x0 < w {
-            let x1 = (x0 + TRANSPOSE_TILE).min(w);
+/// Blocked out-of-place transpose of the `xs × ys` sub-rectangle of
+/// the row-major `src` (row stride `src_stride`):
+/// `dst[(x − xs.start + to.0)·dst_stride + (y − ys.start + to.1)] =
+/// src[y·src_stride + x]`. The column pass gathers and scatters only the
+/// lines of its band through it; over a whole `w × h` plane
+/// (`xs = 0..w`, `ys = 0..h`, `to = (0, 0)`) it is the plain transpose.
+fn transpose_rect(
+    src: &[f64],
+    src_stride: usize,
+    xs: Range<usize>,
+    ys: Range<usize>,
+    dst: &mut [f64],
+    dst_stride: usize,
+    to: (usize, usize),
+) {
+    let mut y0 = ys.start;
+    while y0 < ys.end {
+        let y1 = (y0 + TRANSPOSE_TILE).min(ys.end);
+        let mut x0 = xs.start;
+        while x0 < xs.end {
+            let x1 = (x0 + TRANSPOSE_TILE).min(xs.end);
             // Within the tile, write destination rows contiguously; the
             // slice-based inner loop keeps the write side free of bounds
             // checks.
             for x in x0..x1 {
-                let drow = &mut dst[x * h + y0..x * h + y1];
+                let d0 = (x - xs.start + to.0) * dst_stride + (y0 - ys.start + to.1);
+                let drow = &mut dst[d0..d0 + (y1 - y0)];
                 for (d, y) in drow.iter_mut().zip(y0..y1) {
-                    *d = src[y * w + x];
+                    *d = src[y * src_stride + x];
                 }
             }
             x0 = x1;
@@ -482,57 +498,77 @@ fn transpose_into(src: &[f64], dst: &mut [f64], w: usize, h: usize) {
     }
 }
 
-/// Contiguous band `[start, end)` assigned to band `b` of `nb` over
+/// Contiguous share `[start, end)` assigned to share `b` of `nb` over
 /// `len` items. Depends only on the three arguments, so the work split —
 /// and therefore every intermediate value — is a pure function of the
 /// worker count, never of scheduling.
-fn band(len: usize, nb: usize, b: usize) -> (usize, usize) {
+fn team_share(len: usize, nb: usize, b: usize) -> (usize, usize) {
     (len * b / nb, len * (b + 1) / nb)
 }
 
-/// Applies `plan` to each of the `rows` consecutive `plan.len()`-sized
-/// row pairs of the re/im planes, fanning contiguous bands out to
-/// `team`'s workers while the calling thread transforms band 0 itself.
+/// The physical row runs behind logical rows `[start, end)` of the two
+/// ascending runs `rows`, numbered back to back.
+fn physical_rows(rows: &[Range<usize>; 2], start: usize, end: usize) -> [Range<usize>; 2] {
+    let n0 = rows[0].len();
+    let lo = rows[0].start + start.min(n0)..rows[0].start + end.min(n0);
+    let hi = rows[1].start + start.max(n0) - n0..rows[1].start + end.max(n0) - n0;
+    [lo, hi]
+}
+
+/// Applies `plan` to each row in the two runs `rows` of the
+/// `plan.len()`-wide re/im planes, fanning contiguous shares of those
+/// rows out to `team`'s workers while the calling thread transforms
+/// share 0 itself.
 ///
 /// Each 1-D transform is [`Fft::process_split`] on an exact copy of its
-/// row, and the caller copies finished bands back in lane order, so the
+/// row, and the caller copies finished shares back in lane order, so the
 /// result is the same at every worker count. With no workers (or at
-/// most one row) the calling thread's band is every row.
+/// most one row) the calling thread's share is every row.
 fn rows_split(
     plan: &Fft,
     re: &mut [f64],
     im: &mut [f64],
-    rows: usize,
+    rows: [Range<usize>; 2],
     direction: FftDirection,
     ws: &mut Workspace,
     team: &mut SpectralTeam,
 ) {
     let len = plan.len();
-    let workers = if rows <= 1 { 0 } else { team.workers() };
-    let bands = workers + 1;
+    let count = rows[0].len() + rows[1].len();
+    let workers = if count <= 1 { 0 } else { team.workers() };
+    let shares = workers + 1;
     for lane in 0..workers {
-        let (start, end) = band(rows, bands, lane + 1);
+        let (start, end) = team_share(count, shares, lane + 1);
         let (mut br, mut bi) = team.lane_split_rows_bufs(lane);
-        br.extend_from_slice(&re[start * len..end * len]);
-        bi.extend_from_slice(&im[start * len..end * len]);
+        for run in physical_rows(&rows, start, end) {
+            br.extend_from_slice(&re[run.start * len..run.end * len]);
+            bi.extend_from_slice(&im[run.start * len..run.end * len]);
+        }
         team.submit_split_rows(lane, plan, direction, br, bi);
     }
     team.dispatch(workers);
-    let (start, end) = band(rows, bands, 0);
-    for r in start..end {
-        plan.process_split(
-            &mut re[r * len..(r + 1) * len],
-            &mut im[r * len..(r + 1) * len],
-            direction,
-            ws,
-        );
+    let (start, end) = team_share(count, shares, 0);
+    for run in physical_rows(&rows, start, end) {
+        for r in run {
+            plan.process_split(
+                &mut re[r * len..(r + 1) * len],
+                &mut im[r * len..(r + 1) * len],
+                direction,
+                ws,
+            );
+        }
     }
     team.collect();
     for lane in 0..workers {
-        let (start, end) = band(rows, bands, lane + 1);
+        let (start, end) = team_share(count, shares, lane + 1);
         if let Some((br, bi)) = team.split_rows_result(lane) {
-            re[start * len..end * len].copy_from_slice(br);
-            im[start * len..end * len].copy_from_slice(bi);
+            let mut off = 0;
+            for run in physical_rows(&rows, start, end) {
+                let n = run.len() * len;
+                re[run.start * len..run.end * len].copy_from_slice(&br[off..off + n]);
+                im[run.start * len..run.end * len].copy_from_slice(&bi[off..off + n]);
+                off += n;
+            }
         }
     }
 }
@@ -563,15 +599,25 @@ enum RealRowPlan {
 /// contiguous memory. The plan owns one [`Fft`] per axis, so rectangular
 /// grids work, plus a real-row plan for the Hermitian half-spectrum
 /// transforms.
+///
+/// The plan carries a frequency [`Band`] (DESIGN.md §16). A plan from
+/// [`Fft2d::new`] has the full band and is the plain transform. A
+/// band-limited plan ([`Fft2d::bandlimited`]) is a projection onto the
+/// band box: forward transforms write +0 outside it, inverse transforms
+/// read nothing outside it, and only the 1-D lines that meet the box are
+/// transformed. Inside the box every nonzero value is bit-identical to
+/// the full-band plan's, because a radix-2 butterfly over all-zero input
+/// yields zero.
 #[derive(Debug, Clone)]
 pub struct Fft2d {
     row: Fft,
     col: Fft,
     half: RealRowPlan,
+    band: Band,
 }
 
 impl Fft2d {
-    /// Plans transforms for `width × height` grids.
+    /// Plans full-band transforms for `width × height` grids.
     ///
     /// # Panics
     ///
@@ -594,7 +640,22 @@ impl Fft2d {
             row: Fft::new(width),
             col: Fft::new(height),
             half,
+            band: Band::full(width, height),
         }
+    }
+
+    /// The same plan limited to `band` (capped at the grid; see the
+    /// type docs for the projection contract). Moves the plan; no
+    /// allocation.
+    #[must_use]
+    pub fn bandlimited(mut self, band: Band) -> Self {
+        self.band = band.clamp(self.width(), self.height());
+        self
+    }
+
+    /// The frequency band this plan computes in.
+    pub fn band(&self) -> Band {
+        self.band
     }
 
     /// Grid width this plan expects.
@@ -618,6 +679,11 @@ impl Fft2d {
     /// transpose, column pass, transpose back — with both 1-D passes
     /// banded across `team` (DESIGN.md §14).
     ///
+    /// On a band-limited plan the forward transform runs every row but
+    /// only the band's columns and writes +0 outside the band box; the
+    /// inverse treats input outside the box as +0, runs only the band's
+    /// rows, then every column.
+    ///
     /// # Panics
     ///
     /// Panics if the spectrum shape differs from the planned shape.
@@ -639,13 +705,39 @@ impl Fft2d {
         );
         let (w, h) = spec.dims();
         let (re, im) = spec.planes_mut();
-        rows_split(&self.row, re, im, h, direction, ws, team);
-        self.column_pass_split(re, im, w, h, direction, ws, team);
+        let full = Band::full(w, h);
+        let (every_row, every_col) = (full.rows(h), full.cols(w));
+        let (band_rows, band_cols) = (self.band.rows(h), self.band.cols(w));
+        match direction {
+            FftDirection::Forward => {
+                rows_split(&self.row, re, im, every_row.clone(), direction, ws, team);
+                self.column_pass_split(
+                    re, im, w, h, band_cols, every_row, band_rows, direction, ws, team,
+                );
+            }
+            FftDirection::Inverse => {
+                // The row pass reads whole band rows: clear the
+                // out-of-band bins it would otherwise pick up.
+                let gap = band_cols[0].end..band_cols[1].start;
+                for j in band_rows.clone().into_iter().flatten() {
+                    re[j * w + gap.start..j * w + gap.end].fill(0.0);
+                    im[j * w + gap.start..j * w + gap.end].fill(0.0);
+                }
+                rows_split(&self.row, re, im, band_rows.clone(), direction, ws, team);
+                self.column_pass_split(
+                    re, im, w, h, every_col, band_rows, every_row, direction, ws, team,
+                );
+            }
+        }
     }
 
-    /// Column pass: transposes both planes with the blocked kernel, runs
-    /// the `w` contiguous column transforms banded across the team,
-    /// transposes back.
+    /// Column pass over `w × h` planes, limited to the lines that exist:
+    /// gathers the columns in the runs `cols` into a transposed scratch
+    /// (reading only the rows in `rows_in`; the others count as +0),
+    /// transforms them banded across the team, and scatters back only
+    /// the rows in `rows_out`. Every other element of the planes becomes
+    /// +0. With every column and row this is the blocked full-plane
+    /// transpose, transform, transpose back.
     #[allow(clippy::too_many_arguments)]
     fn column_pass_split(
         &self,
@@ -653,20 +745,52 @@ impl Fft2d {
         im: &mut [f64],
         w: usize,
         h: usize,
+        cols: [Range<usize>; 2],
+        rows_in: [Range<usize>; 2],
+        rows_out: [Range<usize>; 2],
         direction: FftDirection,
         ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
-        if h == 1 {
-            return; // length-1 column transform is the identity
+        let ncols = cols[0].len() + cols[1].len();
+        let mut tr = ws.take_real(ncols * h);
+        let mut ti = ws.take_real(ncols * h);
+        let gap = rows_in[0].end..rows_in[1].start;
+        let mut p = 0;
+        for xs in &cols {
+            for ys in &rows_in {
+                let to = (p, ys.start);
+                transpose_rect(re, w, xs.clone(), ys.clone(), &mut tr, h, to);
+                transpose_rect(im, w, xs.clone(), ys.clone(), &mut ti, h, to);
+            }
+            for q in p..p + xs.len() {
+                tr[q * h + gap.start..q * h + gap.end].fill(0.0);
+                ti[q * h + gap.start..q * h + gap.end].fill(0.0);
+            }
+            p += xs.len();
         }
-        let mut tr = ws.take_real(w * h);
-        let mut ti = ws.take_real(w * h);
-        transpose_into(re, &mut tr, w, h);
-        transpose_into(im, &mut ti, w, h);
-        rows_split(&self.col, &mut tr, &mut ti, w, direction, ws, team);
-        transpose_into(&tr, re, h, w);
-        transpose_into(&ti, im, h, w);
+        rows_split(
+            &self.col,
+            &mut tr,
+            &mut ti,
+            [0..ncols, ncols..ncols],
+            direction,
+            ws,
+            team,
+        );
+        if ncols < w || rows_out[0].len() + rows_out[1].len() < h {
+            re.fill(0.0);
+            im.fill(0.0);
+        }
+        let mut p = 0;
+        for xs in &cols {
+            for ys in &rows_out {
+                let (packed, to) = (p..p + xs.len(), (ys.start, xs.start));
+                transpose_rect(&tr, h, ys.clone(), packed.clone(), re, w, to);
+                transpose_rect(&ti, h, ys.clone(), packed, im, w, to);
+            }
+            p += xs.len();
+        }
         ws.give_real(tr);
         ws.give_real(ti);
     }
@@ -811,7 +935,9 @@ impl Fft2d {
     /// `out` holds bins `(i, j)` for `i` in `0..w/2+1`; the missing
     /// columns are recoverable as `conj(out(w-i, (h-j) mod h))` (see
     /// [`Fft2d::expand_half_split_into`]). Real rows are untangled on
-    /// the calling thread; the column pass is banded across `team`.
+    /// the calling thread; the column pass is banded across `team`. On a
+    /// band-limited plan only the band's half columns (`0..=kx`) go
+    /// through the column pass and `out` is +0 outside the band box.
     ///
     /// # Panics
     ///
@@ -848,7 +974,18 @@ impl Fft2d {
                 ws,
             );
         }
-        self.column_pass_split(ore, oim, hw, h, FftDirection::Forward, ws, team);
+        self.column_pass_split(
+            ore,
+            oim,
+            hw,
+            h,
+            self.band.half_cols(w),
+            Band::full(w, h).rows(h),
+            self.band.rows(h),
+            FftDirection::Forward,
+            ws,
+            team,
+        );
     }
 
     /// [`Fft2d::inverse_real_split_on`] on an inline team (the calling
@@ -870,6 +1007,8 @@ impl Fft2d {
     /// grid from a Hermitian half spectrum, consuming `half`'s contents
     /// (its planes are the column pass's scratch). The column pass is
     /// banded across `team`; real rows are rebuilt on the calling thread.
+    /// On a band-limited plan the column pass reads only the band box of
+    /// `half` (the rest counts as +0) and runs only its half columns.
     ///
     /// For a half spectrum that is the Hermitian part of some full
     /// product spectrum `P` — `half(i,j) = (P(i,j) + conj(P(-i,-j)))/2`
@@ -903,7 +1042,18 @@ impl Fft2d {
             out.height()
         );
         let (hre, him) = half.planes_mut();
-        self.column_pass_split(hre, him, hw, h, FftDirection::Inverse, ws, team);
+        self.column_pass_split(
+            hre,
+            him,
+            hw,
+            h,
+            self.band.half_cols(w),
+            self.band.rows(h),
+            Band::full(w, h).rows(h),
+            FftDirection::Inverse,
+            ws,
+            team,
+        );
         for y in 0..h {
             self.row_c2r_split(
                 &hre[y * hw..(y + 1) * hw],
@@ -917,7 +1067,8 @@ impl Fft2d {
     /// Expands a Hermitian half spectrum to the full `w × h` spectrum
     /// using `S(i,j) = conj(S(w−i, (h−j) mod h))` (conjugation is a sign
     /// flip of the imaginary plane, so this is a pure copy on the real
-    /// plane).
+    /// plane). A band-limited plan expands the band box only and writes
+    /// +0 elsewhere.
     ///
     /// # Panics
     ///
@@ -941,13 +1092,21 @@ impl Fft2d {
         );
         let (hre, him) = half.planes();
         let (ore, oim) = out.planes_mut();
-        for j in 0..h {
-            ore[j * w..j * w + hw].copy_from_slice(&hre[j * hw..(j + 1) * hw]);
-            oim[j * w..j * w + hw].copy_from_slice(&him[j * hw..(j + 1) * hw]);
+        // On a band-limited plan only the band box is copied and mirrored;
+        // the rest of `out` is +0.
+        let (lo, hi) = (self.band.half_cols(w)[0].end, hw.max(w - self.band.kx));
+        if !self.band.covers(w, h) {
+            ore.fill(0.0);
+            oim.fill(0.0);
         }
-        for j in 0..h {
+        let rows = self.band.rows(h);
+        for j in rows.clone().into_iter().flatten() {
+            ore[j * w..j * w + lo].copy_from_slice(&hre[j * hw..j * hw + lo]);
+            oim[j * w..j * w + lo].copy_from_slice(&him[j * hw..j * hw + lo]);
+        }
+        for j in rows.into_iter().flatten() {
             let jm = (h - j) % h;
-            for i in hw..w {
+            for i in hi..w {
                 let src = jm * hw + (w - i);
                 ore[j * w + i] = hre[src];
                 oim[j * w + i] = -him[src];

@@ -12,6 +12,8 @@
 //!   fallback for arbitrary lengths ([`fft`]).
 //! * [`Convolver`] — frequency-domain circular convolution/correlation with
 //!   cached kernel spectra ([`conv`]).
+//! * [`Band`] — the frequency box a plan computes in; band-limited plans
+//!   transform only the lines the optics can pass ([`band`]).
 //! * [`SplitSpectrum`] — split re/im planes (structure of arrays), the one
 //!   layout every spectral operation computes in ([`split`]).
 //! * [`Workspace`] — pooled scratch buffers that make the whole spectral
@@ -55,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod band;
 pub mod complex;
 pub mod conv;
 pub mod error;
@@ -68,6 +71,7 @@ pub mod split;
 pub mod stats;
 pub mod workspace;
 
+pub use band::Band;
 pub use complex::Complex;
 pub use conv::{Convolver, KernelSpectrum};
 pub use error::NumericsError;
@@ -81,6 +85,7 @@ pub use workspace::Workspace;
 
 /// The types almost every user of this crate needs.
 pub mod prelude {
+    pub use crate::band::Band;
     pub use crate::complex::Complex;
     pub use crate::conv::{Convolver, KernelSpectrum};
     pub use crate::error::NumericsError;

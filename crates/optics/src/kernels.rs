@@ -18,8 +18,8 @@
 
 use crate::config::{OpticsConfig, ProcessCondition};
 use mosaic_numerics::{
-    Complex, Convolver, Fft2d, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum,
-    Workspace,
+    Band, Complex, Convolver, Fft2d, FftDirection, Grid, KernelSpectrum, SpectralTeam,
+    SplitSpectrum, Workspace,
 };
 use std::f64::consts::PI;
 
@@ -33,17 +33,25 @@ pub struct CoherentKernel {
 }
 
 /// The full kernel bank for one process condition.
+///
+/// The bank records its frequency [`Band`]: the smallest box around DC
+/// that holds every nonzero bin of every kernel spectrum (and so of the
+/// combined kernel of Eq. (21)). Convolvers limited to it
+/// ([`Convolver::bandlimited`]) compute the same nonzero bits as on the
+/// full band.
 #[derive(Debug, Clone)]
 pub struct KernelSet {
     kernels: Vec<CoherentKernel>,
     condition: ProcessCondition,
     width: usize,
     height: usize,
+    band: Band,
 }
 
 impl KernelSet {
     /// Wraps a prebuilt kernel list (used by the TCC/SVD path in
-    /// [`crate::tcc`]).
+    /// [`crate::tcc`]); the band comes from a scan of every kernel's
+    /// nonzero bins.
     ///
     /// # Panics
     ///
@@ -56,18 +64,22 @@ impl KernelSet {
         height: usize,
     ) -> Self {
         assert!(!kernels.is_empty(), "kernel bank cannot be empty");
+        let mut band = Band::DC;
         for k in &kernels {
             assert_eq!(k.spectrum.dims(), (width, height), "kernel shape mismatch");
+            band = band.union(Band::of_support(k.spectrum.split()));
         }
         KernelSet {
             kernels,
             condition,
             width,
             height,
+            band,
         }
     }
 
-    /// Builds the bank for `condition` under the given optics.
+    /// Builds the bank for `condition` under the given optics, recording
+    /// the band of the pupil bins as it fills them.
     ///
     /// # Errors
     ///
@@ -83,6 +95,7 @@ impl KernelSet {
         let points = config.source.sample(config.kernel_count);
         let fx: Vec<f64> = (0..w).map(|i| freq(i, w, config.pixel_nm)).collect();
         let fy: Vec<f64> = (0..h).map(|j| freq(j, h, config.pixel_nm)).collect();
+        let mut band = Band::DC;
         let kernels = points
             .iter()
             .map(|p| {
@@ -92,12 +105,14 @@ impl KernelSet {
                 // interleaved grid is ever materialized per kernel.
                 let mut re = Vec::with_capacity(w * h);
                 let mut im = Vec::with_capacity(w * h);
-                for &fyj in &fy {
-                    for &fxi in &fx {
+                for (j, &fyj) in fy.iter().enumerate() {
+                    for (i, &fxi) in fx.iter().enumerate() {
                         let gx = fxi + shift_x;
                         let gy = fyj + shift_y;
                         let g2 = gx * gx + gy * gy;
                         let value = if g2 <= cutoff * cutoff {
+                            // Every pupil bin is nonzero (|cis| = 1).
+                            band.include(i, j, w, h);
                             // Paraxial defocus aberration phase.
                             let phase = -PI * config.wavelength_nm * condition.defocus_nm * g2;
                             Complex::cis(phase)
@@ -119,6 +134,7 @@ impl KernelSet {
             condition,
             width: w,
             height: h,
+            band,
         })
     }
 
@@ -135,6 +151,22 @@ impl KernelSet {
     /// Grid shape `(width, height)`.
     pub fn dims(&self) -> (usize, usize) {
         (self.width, self.height)
+    }
+
+    /// The smallest band holding every nonzero bin of the bank.
+    pub fn band(&self) -> Band {
+        self.band
+    }
+
+    /// A convolver narrower than the bank would drop kernel bins
+    /// silently.
+    fn assert_band_fits(&self, convolver: &Convolver) {
+        let band = convolver.band();
+        assert_eq!(
+            band.union(self.band),
+            band,
+            "convolver band does not contain the kernel bank's band"
+        );
     }
 
     /// The weight-combined kernel `H = Σ_k w_k h_k` of Eq. (21), in the
@@ -155,7 +187,8 @@ impl KernelSet {
     ///
     /// # Panics
     ///
-    /// Panics if the spectrum shape differs from the bank's grid.
+    /// Panics if the spectrum shape differs from the bank's grid, or if
+    /// the convolver's band does not contain the bank's.
     pub fn aerial_image_from_spectrum(
         &self,
         convolver: &Convolver,
@@ -184,7 +217,8 @@ impl KernelSet {
     ///
     /// # Panics
     ///
-    /// Panics if shapes differ from the bank's grid.
+    /// Panics if shapes differ from the bank's grid, or if the
+    /// convolver's band does not contain the bank's.
     pub fn aerial_image_accumulate_split(
         &self,
         convolver: &Convolver,
@@ -203,6 +237,7 @@ impl KernelSet {
             (self.width, self.height),
             "intensity shape mismatch"
         );
+        self.assert_band_fits(convolver);
         intensity.fill(0.0);
         let workers = team.workers();
         // The calling thread's own kernel of each wave runs whole on this
@@ -210,18 +245,12 @@ impl KernelSet {
         let mut inline = SpectralTeam::inline();
         let mut field = ws.take_split(self.width, self.height);
         let dose = self.condition.dose;
-        let (ar, ai) = mask_spectrum.planes();
         let mut start = 0;
         while start < self.kernels.len() {
             let end = (start + workers + 1).min(self.kernels.len());
             for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
                 let mut spec = team.lane_split_grid(lane, self.width, self.height);
-                let (br, bi) = k.spectrum.split().planes();
-                let (or_, oi) = spec.planes_mut();
-                for idx in 0..or_.len() {
-                    or_[idx] = ar[idx] * br[idx] - ai[idx] * bi[idx];
-                    oi[idx] = ar[idx] * bi[idx] + ai[idx] * br[idx];
-                }
+                convolver.hadamard_split(mask_spectrum, &k.spectrum, &mut spec);
                 team.submit_split_grid(lane, convolver.plan(), FftDirection::Inverse, spec);
             }
             team.dispatch(end - start - 1);
@@ -252,7 +281,8 @@ impl KernelSet {
     ///
     /// # Panics
     ///
-    /// Panics if shapes differ from the bank's grid.
+    /// Panics if shapes differ from the bank's grid, or if the
+    /// convolver's band does not contain the bank's.
     pub fn aerial_image_with_fields_split(
         &self,
         convolver: &Convolver,
@@ -272,6 +302,7 @@ impl KernelSet {
             (self.width, self.height),
             "intensity shape mismatch"
         );
+        self.assert_band_fits(convolver);
         fields.retain(|f| f.dims() == (self.width, self.height));
         while fields.len() < self.kernels.len() {
             fields.push(ws.take_split(self.width, self.height));
@@ -337,6 +368,63 @@ mod tests {
             .kernel_count(8)
             .build()
             .unwrap()
+    }
+
+    /// The band of every nonzero bin of every kernel, found bin by bin.
+    fn scanned_band(set: &KernelSet) -> Band {
+        let (w, h) = set.dims();
+        let mut band = Band::DC;
+        for k in set.kernels() {
+            let (re, im) = k.spectrum.split().planes();
+            for j in 0..h {
+                for i in 0..w {
+                    if re[j * w + i] != 0.0 || im[j * w + i] != 0.0 {
+                        band.kx = band.kx.max(i.min(w - i));
+                        band.ky = band.ky.max(j.min(h - j));
+                    }
+                }
+            }
+        }
+        band
+    }
+
+    #[test]
+    fn recorded_band_matches_a_brute_force_scan() {
+        for (grid, pixel_nm) in [(64, 16.0), (256, 4.0)] {
+            let config = OpticsConfig::contest_32nm(grid, pixel_nm);
+            for condition in [ProcessCondition::NOMINAL, ProcessCondition::new(25.0, 0.98)] {
+                let set = KernelSet::build(&config, condition).unwrap();
+                let ctx = format!("{grid} px, {condition:?}");
+                assert_eq!(set.band(), scanned_band(&set), "{ctx}");
+                assert!(
+                    !set.band().covers(grid, grid),
+                    "{ctx}: pupil fills the grid"
+                );
+                // The combined kernel of Eq. (21) fits the bank's band.
+                assert_eq!(
+                    Band::of_support(set.combined().split()).union(set.band()),
+                    set.band(),
+                    "{ctx}"
+                );
+            }
+        }
+        // cutoff·(1 + σ_out) = (1.35 / 193 nm)·1024 nm·1.9 ≈ 13.6 bins at
+        // 256 px and 4 nm.
+        let set = KernelSet::build(
+            &OpticsConfig::contest_32nm(256, 4.0),
+            ProcessCondition::NOMINAL,
+        )
+        .unwrap();
+        assert_eq!(set.band(), Band::new(13, 13));
+    }
+
+    #[test]
+    #[should_panic(expected = "convolver band does not contain")]
+    fn a_convolver_narrower_than_the_bank_is_rejected() {
+        let set = KernelSet::build(&small_config(), ProcessCondition::NOMINAL).unwrap();
+        let conv = Convolver::new(64, 64).bandlimited(Band::DC);
+        let spectrum = conv.forward_real(&Grid::filled(64, 64, 1.0));
+        let _ = set.aerial_image_from_spectrum(&conv, &spectrum);
     }
 
     #[test]

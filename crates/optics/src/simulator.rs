@@ -6,7 +6,7 @@ use crate::error::OpticsError;
 use crate::kernels::KernelSet;
 use crate::resist::ResistModel;
 use crate::source::SourceShape;
-use mosaic_numerics::{Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
+use mosaic_numerics::{Band, Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
 use std::sync::Arc;
 
 /// A hashable identity for a simulator configuration: everything that
@@ -80,6 +80,10 @@ impl SimKey {
 /// pays FFTs. Banks are held behind [`Arc`], so cloning a simulator — or
 /// constructing one from another's banks — shares the spectra instead of
 /// recomputing or copying them.
+///
+/// The shared convolver is limited to the union of the banks' bands
+/// (DESIGN.md §16), so every transform of the simulator and of the
+/// optimizer built on it computes only the frequencies the optics pass.
 #[derive(Debug, Clone)]
 pub struct LithoSimulator {
     convolver: Convolver,
@@ -110,7 +114,7 @@ impl LithoSimulator {
             .map(|&c| Ok(Arc::new(KernelSet::build(config, c)?)))
             .collect::<Result<Vec<_>, OpticsError>>()?;
         Ok(LithoSimulator {
-            convolver,
+            convolver: convolver.bandlimited(bank_band(&banks)),
             resist,
             banks,
             config: config.clone(),
@@ -147,7 +151,7 @@ impl LithoSimulator {
         }
         let convolver = Convolver::new(config.grid_width, config.grid_height);
         Ok(LithoSimulator {
-            convolver,
+            convolver: convolver.bandlimited(bank_band(&banks)),
             resist,
             banks,
             config: config.clone(),
@@ -199,7 +203,8 @@ impl LithoSimulator {
     }
 
     /// Forward-transforms a mask once for reuse across conditions/kernels
-    /// (allocating, on the calling thread).
+    /// (allocating, on the calling thread). The spectrum is +0 outside
+    /// the simulator's band.
     pub fn mask_spectrum(&self, mask: &Grid<f64>) -> SplitSpectrum {
         self.convolver.forward_real(mask)
     }
@@ -284,13 +289,30 @@ impl LithoSimulator {
     }
 
     /// Binary printed images of `mask` under **all** conditions — the
-    /// inputs to PV-band measurement (Fig. 4).
+    /// inputs to PV-band measurement (Fig. 4). One scratch pool serves
+    /// the mask spectrum and every condition.
     pub fn printed_all_conditions(&self, mask: &Grid<f64>) -> Vec<Grid<f64>> {
-        let spectrum = self.mask_spectrum(mask);
-        (0..self.banks.len())
-            .map(|i| self.printed(&self.aerial_image_from_spectrum(&spectrum, i)))
-            .collect()
+        let (w, h) = (self.config.grid_width, self.config.grid_height);
+        let mut ws = Workspace::new();
+        let mut team = SpectralTeam::inline();
+        let mut spectrum = ws.take_split(w, h);
+        self.mask_spectrum_split(mask, &mut spectrum, &mut ws, &mut team);
+        let mut intensity = ws.take_real_grid(w, h);
+        let prints = (0..self.banks.len())
+            .map(|i| {
+                self.aerial_image_split(&spectrum, i, &mut intensity, &mut ws, &mut team);
+                self.printed(&intensity)
+            })
+            .collect();
+        ws.give_real_grid(intensity);
+        ws.give_split(spectrum);
+        prints
     }
+}
+
+/// The union of the banks' bands: the one band every bank's kernels fit.
+fn bank_band(banks: &[Arc<KernelSet>]) -> Band {
+    banks.iter().fold(Band::DC, |band, b| band.union(b.band()))
 }
 
 #[cfg(test)]
@@ -443,6 +465,55 @@ mod tests {
         // The banks really are shared, not copied.
         for (a, b) in built.shared_banks().iter().zip(shared.shared_banks()) {
             assert!(std::sync::Arc::ptr_eq(a, b));
+        }
+    }
+
+    #[test]
+    fn convolver_band_is_the_union_of_the_bank_bands() {
+        let bank_union = |sim: &LithoSimulator| {
+            (0..sim.condition_count()).fold(Band::DC, |band, i| band.union(sim.bank(i).band()))
+        };
+        let built = simulator(ProcessCondition::contest_window());
+        assert_eq!(built.convolver().band(), bank_union(&built));
+        assert!(!built.convolver().band().covers(64, 64));
+        // Banks of a wider pupil on the same grid: the shared-bank
+        // simulator takes the widest band of the mix.
+        let wide = OpticsConfig::builder()
+            .grid(64, 64)
+            .pixel_nm(8.0)
+            .na(1.9)
+            .kernel_count(8)
+            .build()
+            .unwrap();
+        let wide_bank =
+            Arc::new(KernelSet::build(&wide, ProcessCondition::new(25.0, 1.0)).unwrap());
+        let mut banks = built.shared_banks().to_vec();
+        banks.push(Arc::clone(&wide_bank));
+        let shared =
+            LithoSimulator::from_shared_banks(built.config(), *built.resist(), banks).unwrap();
+        assert_ne!(wide_bank.band(), built.convolver().band());
+        assert_eq!(shared.convolver().band(), bank_union(&shared));
+        assert_eq!(
+            shared.convolver().band(),
+            built.convolver().band().union(wide_bank.band())
+        );
+    }
+
+    #[test]
+    fn band_limited_simulation_matches_the_full_band_bit_for_bit() {
+        let sim = simulator(ProcessCondition::contest_window());
+        let full = Convolver::new(64, 64);
+        let mask = bar_mask();
+        let spectrum = sim.mask_spectrum(&mask);
+        let full_spectrum = full.forward_real(&mask);
+        for i in 0..sim.condition_count() {
+            let banded = sim.aerial_image_from_spectrum(&spectrum, i);
+            let plain = sim
+                .bank(i)
+                .aerial_image_from_spectrum(&full, &full_spectrum);
+            for (p, (a, b)) in banded.iter().zip(plain.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "condition {i} pixel {p}");
+            }
         }
     }
 

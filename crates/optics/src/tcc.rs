@@ -176,6 +176,36 @@ mod tests {
     }
 
     #[test]
+    fn from_kernels_band_covers_every_kernel() {
+        let tcc = decompose(&config(), ProcessCondition::NOMINAL, 64).unwrap();
+        let set = &tcc.kernels;
+        let band = set.band();
+        let (w, h) = set.dims();
+        assert!(!band.covers(w, h), "TCC support is the pupil, not the grid");
+        for (n, k) in set.kernels().iter().enumerate() {
+            let (re, im) = k.spectrum.split().planes();
+            for j in 0..h {
+                for i in 0..w {
+                    if re[j * w + i] != 0.0 || im[j * w + i] != 0.0 {
+                        assert!(band.contains(i, j, w, h), "kernel {n} bin ({i}, {j})");
+                    }
+                }
+            }
+        }
+        // A hand-made bank: one kernel with bins at (2, 0) and (0, 61)
+        // spans radii (2, 3).
+        let mut grid = Grid::<Complex>::zeros(w, h);
+        grid[(2, 0)] = Complex::ONE;
+        grid[(0, 61)] = Complex::new(0.0, -1.0);
+        let kernels = vec![CoherentKernel {
+            weight: 1.0,
+            spectrum: KernelSpectrum::from_grid(grid),
+        }];
+        let set = KernelSet::from_kernels(kernels, ProcessCondition::NOMINAL, w, h);
+        assert_eq!(set.band(), mosaic_numerics::Band::new(2, 3));
+    }
+
+    #[test]
     fn eigenvalues_nonnegative_and_descending() {
         let tcc = decompose(&config(), ProcessCondition::NOMINAL, 64).unwrap();
         assert!(tcc.support_size > 16);

@@ -85,9 +85,10 @@ tier1() {
   # The run/resume/supervised entry-point matrix was collapsed into
   # ExecutionSession (DESIGN.md §11), and every spectral operation has
   # one banded implementation where serial is the inline team
-  # (DESIGN.md §14). Fail if a *_with/*_in/*_supervised public entry
-  # point reappears in mosaic-core or mosaic-serve, or a *_par twin
-  # reappears in the numerics/optics/core crates.
+  # (DESIGN.md §14) and the pupil band lives in the plan (DESIGN.md
+  # §16). Fail if a *_with/*_in/*_supervised public entry point
+  # reappears in mosaic-core or mosaic-serve, or a *_par or
+  # *_band/*_banded twin reappears in the numerics/optics/core crates.
   if grep -rEn 'pub fn [a-zA-Z0-9_]+_(with|in|supervised)\s*(<|\()' \
       crates/core/src crates/serve/src --include='*.rs'; then
     echo "FAILED: duplicate public entry point (use ExecutionSession)"
@@ -96,6 +97,11 @@ tier1() {
   if grep -rEn 'pub fn [a-zA-Z0-9_]+_par\s*(<|\()' \
       crates/numerics/src crates/optics/src crates/core/src --include='*.rs'; then
     echo "FAILED: *_par twin (run the one banded path on a SpectralTeam)"
+    exit 1
+  fi
+  if grep -rEn 'pub fn [a-zA-Z0-9_]*_band(ed)?\s*(<|\()' \
+      crates/numerics/src crates/optics/src crates/core/src --include='*.rs'; then
+    echo "FAILED: *_band(ed) twin (the frequency band is a property of the plan)"
     exit 1
   fi
   echo "=== tier1: fmt"
